@@ -207,17 +207,18 @@ func BenchmarkMissionStats(b *testing.B) {
 // BenchmarkAblationDwellFilter compares Fig. 2 with and without the 10 s
 // dwell filter (paper footnote 1: suppressing beacon bleed-through).
 func BenchmarkAblationDwellFilter(b *testing.B) {
-	_, p := benchSetup(b)
+	m, p := benchSetup(b)
+	pRaw, err := m.Pipeline(TrueAssignment, sociometry.WithMinDwell(0))
+	if err != nil {
+		b.Fatal(err)
+	}
 	var with, without int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.SetMinDwell(localization.DefaultMinDwell)
 		with = p.Transitions(nil).Total()
-		p.SetMinDwell(0)
-		without = p.Transitions(nil).Total()
+		without = pRaw.Transitions(nil).Total()
 	}
 	b.StopTimer()
-	p.SetMinDwell(localization.DefaultMinDwell)
 	b.ReportMetric(float64(with), "passages-filtered")
 	b.ReportMetric(float64(without), "passages-raw")
 	if without < with {
@@ -300,23 +301,19 @@ func BenchmarkAblationShielding(b *testing.B) {
 // face-to-face time. Rectification restores the agreement.
 func BenchmarkAblationTimesync(b *testing.B) {
 	const days = 9
-	// Two identically seeded missions: rectification rewrites a dataset in
-	// place, so the raw-clock arm needs its own copy that is never
-	// rectified. Both simulations run outside the timer — the benchmark
-	// measures the analysis under each clock regime, not the simulator.
-	mRect, err := Simulate(Options{Seed: 77, Days: days})
+	// One mission, two pipelines over the same raw dataset: one fits the
+	// clock corrections, the ablation arm reads the local clocks. The
+	// simulation runs outside the timer — the benchmark measures the
+	// analysis under each clock regime, not the simulator.
+	m, err := Simulate(Options{Seed: 77, Days: days})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pRect, err := mRect.Pipeline(TrueAssignment)
+	pRect, err := m.Pipeline(TrueAssignment)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mRaw, err := Simulate(Options{Seed: 77, Days: days})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pRaw, err := mRaw.Pipeline(TrueAssignment, sociometry.WithoutRectification())
+	pRaw, err := m.Pipeline(TrueAssignment, sociometry.WithCorrections(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -349,24 +346,28 @@ func BenchmarkAblationTimesync(b *testing.B) {
 // BenchmarkAblationSpeechThreshold sweeps the 60 dB / 20% boundary values
 // the paper "determined experimentally".
 func BenchmarkAblationSpeechThreshold(b *testing.B) {
-	m, p := benchSetup(b)
+	m, _ := benchSetup(b)
 	configs := []speech.Config{
 		{MinLoudDB: 50, MinFraction: 0.1},
 		{MinLoudDB: 60, MinFraction: 0.2}, // the paper's values
 		{MinLoudDB: 70, MinFraction: 0.4},
 	}
+	pipes := make([]*sociometry.Pipeline, len(configs))
+	for ci, cfg := range configs {
+		p, err := m.Pipeline(TrueAssignment, sociometry.WithSpeechConfig(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipes[ci] = p
+	}
 	means := make([]float64, len(configs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for ci, cfg := range configs {
+		for ci, p := range pipes {
 			var sum float64
 			var n int
 			for _, name := range m.Names() {
-				frames := speech.FilterWorn(
-					speech.Frames(p.RecordsFor(name), cfg),
-					p.WornRanges(name),
-				)
-				sum += speech.Fraction(frames)
+				sum += speech.Fraction(p.Frames(name))
 				n++
 			}
 			means[ci] = sum / float64(n)
@@ -482,7 +483,7 @@ func BenchmarkIncrementalFold(b *testing.B) {
 
 	src := sociometry.Source{
 		Habitat:       res.Habitat,
-		Dataset:       live,
+		Data:          live,
 		Names:         m.Names(),
 		BadgeFor:      res.Assignment.TrueBadgeFor,
 		VoiceProfiles: m.VoiceProfiles(),
@@ -505,9 +506,9 @@ func BenchmarkIncrementalFold(b *testing.B) {
 		}
 		stop := p.Follow()
 		defer stop()
-		// The first analysis estimates clock corrections and installs
-		// per-series rectifiers, so the appends below land on reference
-		// time — outside the timer, like any warm-up.
+		// The first analysis fits the clock corrections the appends below
+		// are read (and marked stale) through — outside the timer, like any
+		// warm-up.
 		p.Warm()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -164,8 +164,8 @@ func reportFromSegments(dir string, days int) error {
 	for name, ferr := range rep.Failed {
 		fmt.Fprintf(os.Stderr, "icares: skipping %s: %v\n", name, ferr)
 	}
-	fmt.Fprintf(os.Stderr, "icares: %d badges, %.1f MiB on disk, rectified=%v\n",
-		len(ss.Badges()), float64(ss.BytesOnDisk())/(1<<20), ss.Rectified())
+	fmt.Fprintf(os.Stderr, "icares: %d badges, %.1f MiB on disk\n",
+		len(ss.Badges()), float64(ss.BytesOnDisk())/(1<<20))
 	p, err := icares.ArchivePipeline(ss, days, icares.TrueAssignment)
 	if err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"icares"
+	"icares/internal/record"
 	"icares/internal/store"
 	"icares/internal/timesync"
 )
@@ -22,8 +23,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Estimate each badge's correction from its sync records, before any
-	// rectification has touched the dataset.
+	// Estimate each badge's correction from its sync records, which the
+	// dataset holds on the badge's local clock.
 	ds := m.Result().Dataset
 	type row struct {
 		id  store.BadgeID
@@ -56,19 +57,27 @@ func main() {
 			rows[0].id, rows[1].id, shift.Round(time.Millisecond))
 	}
 
-	// Rectification quality: after the pipeline rectifies, re-estimating
-	// must yield near-identity corrections.
+	// Rectification quality: re-estimating on the sync records mapped to
+	// reference time by the pipeline's corrections must yield near-identity
+	// corrections. The pipeline maps as it reads; the dataset itself stays
+	// on local clocks.
 	pipe, err := m.Pipeline(icares.TrueAssignment)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := pipe.RectifyClocks(); err != nil {
+	cors, err := pipe.RectifyClocks()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nafter rectification (re-estimated on the rewritten dataset):")
+	fmt.Println("\nafter rectification (re-estimated on the mapped sync records):")
 	worst := time.Duration(0)
 	for _, id := range ds.Badges() {
-		c, err := timesync.EstimateFromRecords(ds.Series(id).All())
+		var mapped []record.Record
+		for _, r := range ds.Series(id).Kind(record.KindSync) {
+			r.Local = cors[id].ToReference(r.Local)
+			mapped = append(mapped, r)
+		}
+		c, err := timesync.EstimateFromRecords(mapped)
 		if err != nil {
 			continue
 		}

@@ -129,28 +129,13 @@ func (m *Mission) VoiceProfiles() map[string]float64 {
 // Pipeline builds the sociometric analysis pipeline over the mission's
 // dataset under the chosen assignment view.
 //
-// Pipelines are safe for concurrent use, and clock rectification runs
-// exactly once per dataset: building both the TrueAssignment and
-// NominalAssignment views over one Simulate run is supported — the second
-// view adopts the corrections the first one applied instead of
-// re-rectifying already-rectified timestamps.
-//
-// Options (e.g. sociometry.WithoutRectification for the timesync ablation)
-// are passed through to the pipeline.
+// Pipelines are safe for concurrent use and never rewrite the dataset: each
+// reads it through its own clock corrections, so building both the
+// TrueAssignment and NominalAssignment views over one Simulate run is
+// supported. Options (e.g. sociometry.WithCorrections(nil) for the timesync
+// ablation) are passed through to the pipeline.
 func (m *Mission) Pipeline(view AssignmentView, opts ...sociometry.Option) (*sociometry.Pipeline, error) {
-	badgeFor := m.res.Assignment.TrueBadgeFor
-	if view == NominalAssignment {
-		badgeFor = m.res.Assignment.NominalBadgeFor
-	}
-	return sociometry.NewPipeline(sociometry.Source{
-		Habitat:       m.res.Habitat,
-		Dataset:       m.res.Dataset,
-		Names:         mission.Names(),
-		BadgeFor:      badgeFor,
-		VoiceProfiles: m.VoiceProfiles(),
-		FirstDay:      m.res.Config.FirstDataDay,
-		LastDay:       m.res.Config.Scenario.Days,
-	}, opts...)
+	return m.PipelineOver(m.res.Dataset, view, opts...)
 }
 
 // PipelineOver builds the same analysis pipeline as Pipeline but over a

@@ -184,7 +184,7 @@ func TestChaosMission(t *testing.T) {
 
 	// --- Invariants -------------------------------------------------------
 	// Exactly once, in order, for every badge (compared on the raw record
-	// structs before any pipeline rectifies timestamps in place).
+	// structs).
 	for _, lg := range legs {
 		want := truth.Series(lg.id).All()
 		got := offloaded.Series(lg.id).All()
@@ -221,8 +221,7 @@ func TestChaosMission(t *testing.T) {
 	}
 
 	// The sociometry backend cannot tell the datasets apart: byte-identical
-	// reports. (Both pipelines are built only now — rectification mutates
-	// datasets in place, so the offload comparison above had to run first.)
+	// reports.
 	profiles := make(map[string]float64, len(res.Roster))
 	for _, r := range res.Roster {
 		profiles[r.Name] = r.Traits.F0Hz
@@ -230,7 +229,7 @@ func TestChaosMission(t *testing.T) {
 	report := func(ds *store.Dataset) string {
 		p, err := sociometry.NewPipeline(sociometry.Source{
 			Habitat:       res.Habitat,
-			Dataset:       ds,
+			Data:          ds,
 			Names:         mission.Names(),
 			BadgeFor:      res.Assignment.TrueBadgeFor,
 			VoiceProfiles: profiles,

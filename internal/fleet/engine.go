@@ -34,10 +34,10 @@ import (
 	"icares/internal/offload"
 	"icares/internal/record"
 	"icares/internal/simtime"
+	"icares/internal/sociometry"
 	"icares/internal/store"
 	"icares/internal/support"
 	"icares/internal/telemetry"
-	"icares/internal/timesync"
 )
 
 // HabitatConfig describes one habitat in the fleet.
@@ -176,7 +176,18 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 	d, _ := m.SupportSystem()
 	d.Instrument(reg)
 	d.AttachJournal(journal)
-	a, err := m.LiveAnalytics(d, cfg.View)
+	// Pre-fit each badge's clock correction from the complete SD-card
+	// dataset and hand the corrections to the live pipeline. Fitted at its
+	// first analysis instead, a query racing live ingest would fit on
+	// whatever sync records had trickled in so far, and the final report
+	// would depend on query timing. FitCorrections over the full raw series
+	// is exactly the batch pipeline's fit, so the live report stays
+	// byte-identical to the standalone run no matter when queries land.
+	// Both the mission dataset and the live one stay on local clocks: the
+	// feed delivers local-clock records, and the pipeline maps them as it
+	// reads.
+	corrections := sociometry.FitCorrections(m.Result().Dataset)
+	a, err := m.LiveAnalytics(d, cfg.View, sociometry.WithCorrections(corrections))
 	if err != nil {
 		return nil, fmt.Errorf("habitat %s: analytics: %w", id, err)
 	}
@@ -212,32 +223,6 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 	// sort on Local yields a deterministic global order with per-badge
 	// order preserved.
 	sort.SliceStable(e.feed, func(i, j int) bool { return e.feed[i].rec.Local < e.feed[j].rec.Local })
-
-	// Pre-fit each badge's clock correction from the complete SD-card
-	// dataset and install it on the live analytics dataset before the
-	// first record arrives. The pipeline freezes corrections at its first
-	// analysis; without this, a query racing live ingest would fit on
-	// whatever sync records had trickled in so far, and the final report
-	// would depend on query timing. Fitting over the full raw series here
-	// is exactly the batch pipeline's fit, so the live report stays
-	// byte-identical to the standalone run no matter when queries land.
-	// The mission dataset itself stays raw: the feed delivers local-clock
-	// records, and the live series rewrites each on append.
-	live := a.Dataset()
-	corrections := make(map[store.BadgeID]timesync.Correction)
-	for _, id := range ds.Badges() {
-		var est timesync.Estimator
-		est.ObserveRecords(ds.Series(id).All())
-		c, err := est.Fit()
-		if err != nil {
-			// Not enough exchanges: keep local time, like the batch fit.
-			corrections[id] = timesync.Identity()
-			continue
-		}
-		corrections[id] = c
-		live.Series(id).SetRectifier(c.ToReference)
-	}
-	live.RectifyOnce(func() map[store.BadgeID]timesync.Correction { return corrections })
 
 	e.cIngested = reg.Counter("fleet_engine_records_ingested_total")
 	e.gClock = reg.Gauge("fleet_engine_clock_seconds")

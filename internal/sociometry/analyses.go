@@ -168,7 +168,7 @@ func (p *Pipeline) Heatmap(name string, cellSize float64) (*stats.Grid2D, error)
 	if err != nil {
 		return nil, err
 	}
-	w := p.LocWindow.Seconds()
+	w := p.locWindow.Seconds()
 	for _, f := range p.Track(name) {
 		grid.Add(f.Pos.X, f.Pos.Y, w)
 	}

@@ -32,30 +32,42 @@ type staleKey struct {
 	day int
 }
 
-// Follow subscribes the pipeline to its dataset's append notifications so
-// that records arriving after analyses ran are folded in incrementally: an
-// append marks only its (badge, day) window stale, and the next analysis
-// recomputes just the affected windows and the astronaut-level results
-// folding them. The returned stop function cancels the subscription.
-//
-// Call RectifyClocks (or any analysis) before the live records arrive if
-// the dataset needs clock correction: rectification installs per-series
-// rectifiers so late records are rewritten to reference time on ingest.
+// Follow subscribes the pipeline to its source's append notifications (a
+// source with a Subscribe method, such as store.Dataset) so that records
+// arriving after analyses ran are folded in incrementally: an append marks
+// only its (badge, day) window stale, and the next analysis recomputes just
+// the affected windows and the astronaut-level results folding them. While
+// following, the pipeline memoizes window partials. The returned stop
+// function cancels the subscription; for a source that cannot append
+// (a segment archive) Follow does nothing.
 func (p *Pipeline) Follow() (stop func()) {
-	if p.src.Dataset == nil {
-		// A read-only source (segment archive) never appends; nothing to
-		// follow.
+	sub, ok := p.src.Data.(interface {
+		Subscribe(func(store.BadgeID, record.Record, uint64)) func()
+	})
+	if !ok {
 		return func() {}
 	}
-	return p.src.Dataset.Subscribe(func(id store.BadgeID, r record.Record, seq uint64) {
+	p.following.Store(true)
+	return sub.Subscribe(func(id store.BadgeID, r record.Record, _ uint64) {
 		p.markStale(id, r.Local)
 	})
 }
 
-// markStale records that a badge received a record at the given (already
-// rectified) timestamp. Cheap and lock-scoped: safe to call from the
-// dataset's append path.
-func (p *Pipeline) markStale(id store.BadgeID, at time.Duration) {
+// markStale records that a badge received a record at the given local
+// timestamp. The window it lands in is the reference-time day, so the
+// timestamp goes through the badge's correction first. Cheap and
+// lock-scoped: safe to call from the dataset's append path.
+func (p *Pipeline) markStale(id store.BadgeID, local time.Duration) {
+	if !p.rectified.Load() {
+		// Corrections are not final, so no derivation has read the source
+		// yet: every read starts after RectifyClocks, and will see this
+		// record, which was stored before the notification.
+		return
+	}
+	at := local
+	if c, ok := p.corrections[id]; ok {
+		at = c.ToReference(local)
+	}
 	day := simtime.DayOf(at)
 	if day < p.src.FirstDay || day > p.src.LastDay {
 		// Outside the analysis range: no derivation reads it.
@@ -82,15 +94,6 @@ func (p *Pipeline) beginAnalysis() {
 // endAnalysis leaves an analysis.
 func (p *Pipeline) endAnalysis() {
 	p.inflight.Add(-1)
-}
-
-// checkQuiescent panics if any analysis is in flight — the parameter
-// setters call it so a configure-while-analyzing race fails loudly instead
-// of silently corrupting memo state.
-func (p *Pipeline) checkQuiescent(op string) {
-	if p.inflight.Load() != 0 {
-		panic("sociometry: " + op + " while an analysis is in flight; configure the pipeline before analyzing")
-	}
 }
 
 // applyStale drains the stale set and drops exactly the caches it touches:
@@ -124,6 +127,7 @@ func (p *Pipeline) applyStale() {
 			p.winFrames.drop(w)
 			p.winActivity.drop(w)
 			p.winContacts.drop(w)
+			p.winActive.drop(w)
 			affected[name] = struct{}{}
 		}
 	}
@@ -131,7 +135,6 @@ func (p *Pipeline) applyStale() {
 		return
 	}
 	for name := range affected {
-		p.recordsCache.drop(name)
 		p.wornCache.drop(name)
 		p.trackCache.drop(name)
 		p.intervalCache.drop(name)

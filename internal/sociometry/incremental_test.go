@@ -13,17 +13,20 @@ import (
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/store"
+	"icares/internal/timesync"
 )
 
-// rectifiedFixtureRecords returns the fixture mission's records after clock
-// rectification, per badge in badge order. Parity tests replay these into
-// fresh datasets under WithoutRectification, so fold-order experiments are
-// isolated from correction estimation (which is deliberately frozen at the
-// first fit and therefore depends on which records have arrived).
-func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
+// fixtureRecords returns the fixture mission's raw records, per badge on
+// the badge's local clock, and the corrections the batch pipeline fits over
+// them. Parity tests replay the records into fresh datasets read under
+// WithCorrections(cors) — the live path a fleet habitat takes — so
+// fold-order experiments are isolated from correction estimation (which is
+// deliberately frozen at the first fit and therefore depends on which
+// records have arrived).
+func fixtureRecords(t *testing.T) (map[store.BadgeID][]record.Record, map[store.BadgeID]timesync.Correction) {
 	t.Helper()
-	p := fixturePipeline(t)
-	if _, err := p.RectifyClocks(); err != nil {
+	cors, err := fixturePipeline(t).RectifyClocks()
+	if err != nil {
 		t.Fatal(err)
 	}
 	ds := missionFixture(t).Dataset
@@ -31,7 +34,7 @@ func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
 	for _, id := range ds.Badges() {
 		out[id] = ds.Series(id).All()
 	}
-	return out
+	return out, cors
 }
 
 // fixtureSource builds a pipeline source over the given dataset with the
@@ -41,7 +44,7 @@ func fixtureSource(t *testing.T, ds *store.Dataset) Source {
 	res := missionFixture(t)
 	return Source{
 		Habitat: res.Habitat,
-		Dataset: ds,
+		Data:    ds,
 		Names:   mission.Names(),
 		BadgeFor: func(name string, day int) store.BadgeID {
 			return res.Assignment.TrueBadgeFor(name, day)
@@ -77,11 +80,11 @@ func loadAll(ds *store.Dataset, recs map[store.BadgeID][]record.Record) {
 // that saw everything up front. Per-badge record order is preserved, as the
 // gateway's per-badge upload streams preserve it.
 func TestFoldParityRandomChunks(t *testing.T) {
-	recs := rectifiedFixtureRecords(t)
+	recs, cors := fixtureRecords(t)
 
 	batchDS := store.NewDataset()
 	loadAll(batchDS, recs)
-	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithoutRectification())
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(cors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestFoldParityRandomChunks(t *testing.T) {
 	property := func(seed uint64) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ds := store.NewDataset()
-		p, err := NewPipeline(fixtureSource(t, ds), WithoutRectification())
+		p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(cors))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,13 +149,13 @@ func TestFoldParityRandomChunks(t *testing.T) {
 // detector: a writer folds the final day's records in while readers query,
 // and once appends quiesce the next analyses are exact.
 func TestFoldWhileReadersQuery(t *testing.T) {
-	recs := rectifiedFixtureRecords(t)
+	recs, cors := fixtureRecords(t)
 	res := missionFixture(t)
 	cut := simtime.StartOfDay(res.Config.Scenario.Days)
 
 	batchDS := store.NewDataset()
 	loadAll(batchDS, recs)
-	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithoutRectification())
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(cors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestFoldWhileReadersQuery(t *testing.T) {
 		}
 	}
 	loadAll(liveDS, head)
-	p, err := NewPipeline(fixtureSource(t, liveDS), WithoutRectification())
+	p, err := NewPipeline(fixtureSource(t, liveDS), WithCorrections(cors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +220,13 @@ func TestFoldWhileReadersQuery(t *testing.T) {
 // appended record recomputes exactly its (astronaut, day) window and the
 // astronaut-level caches folding it — every other window stays warm.
 func TestWindowScopedInvalidation(t *testing.T) {
-	recs := rectifiedFixtureRecords(t)
+	recs, cors := fixtureRecords(t)
 	res := missionFixture(t)
 	lastDay := res.Config.Scenario.Days
 
 	ds := store.NewDataset()
 	loadAll(ds, recs)
-	p, err := NewPipeline(fixtureSource(t, ds), WithoutRectification())
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(cors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 	}
 	src := Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  ds,
+		Data:     ds,
 		Names:    []string{"A"},
 		BadgeFor: func(string, int) store.BadgeID { return 1 },
 		FirstDay: 2,
@@ -285,9 +288,19 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 	return src, ds
 }
 
+// drain collects every record a cursor yields.
+func drain(it record.Cursor) []record.Record {
+	var out []record.Record
+	for it.Next() {
+		out = append(out, it.Record())
+	}
+	return out
+}
+
 // TestRectifyOnIngest pins the live-rectification contract: after the first
-// analysis estimates corrections, records appended later are rewritten to
-// reference time individually on ingest, using the frozen correction.
+// analysis fitted the corrections, a record appended later reads in
+// reference time through the frozen correction — later sync exchanges do
+// not re-fit — while the dataset keeps it on the local clock.
 func TestRectifyOnIngest(t *testing.T) {
 	src, ds := syntheticSyncSource(1500*time.Millisecond, 25e-6)
 	p, err := NewPipeline(src)
@@ -305,23 +318,34 @@ func TestRectifyOnIngest(t *testing.T) {
 
 	local := simtime.StartOfDay(2) + 13*time.Hour + 1234*time.Millisecond
 	ds.Series(1).Append(record.Record{Local: local, Kind: record.KindAccel})
-	all := ds.Series(1).All()
-	got := all[len(all)-1]
-	if got.Kind != record.KindAccel {
-		t.Fatalf("last record is %v, want the appended accel record", got.Kind)
+	// A sync exchange on a very different clock must not move the fit.
+	ds.Series(1).Append(record.Record{Local: local + time.Hour, Kind: record.KindSync, RefTime: local})
+
+	all := ds.Series(1).Kind(record.KindAccel)
+	if len(all) != 1 || all[0].Local != local {
+		t.Fatalf("dataset holds %+v, want the appended record on its local clock %v", all, local)
 	}
-	if want := c.ToReference(local); got.Local != want {
-		t.Errorf("ingested record at %v, want rectified %v", got.Local, want)
+	if again, _ := p.RectifyClocks(); again[1] != c {
+		t.Errorf("correction re-fitted after ingest: %+v, want frozen %+v", again[1], c)
+	}
+	got := drain(p.crewIter("A", record.KindAccel))
+	if len(got) != 1 {
+		t.Fatalf("pipeline reads %d accel records, want 1", len(got))
+	}
+	if want := c.ToReference(local); got[0].Local != want {
+		t.Errorf("ingested record reads at %v, want rectified %v", got[0].Local, want)
 	}
 }
 
-// TestWithoutRectificationBothPaths covers both construction paths of the
-// rectification switch: the default pipeline rewrites the dataset, the
-// ablation pipeline leaves it untouched and reports no corrections.
+// TestWithoutRectificationBothPaths covers both rectification paths over
+// one source: the ablation (WithCorrections(nil)) reports no corrections and
+// reads the skewed local clocks, the default pipeline fits and reads
+// reference time, and neither rewrites the dataset they share.
 func TestWithoutRectificationBothPaths(t *testing.T) {
-	srcA, dsA := syntheticSyncSource(2*time.Second, 0)
-	before := dsA.Series(1).All()
-	ablated, err := NewPipeline(srcA, WithoutRectification())
+	src, ds := syntheticSyncSource(2*time.Second, 0)
+	before := append([]record.Record(nil), ds.Series(1).All()...)
+
+	ablated, err := NewPipeline(src, WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,15 +356,11 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 	if len(cors) != 0 {
 		t.Errorf("ablated pipeline produced corrections: %v", cors)
 	}
-	if dsA.Rectified() {
-		t.Error("ablated pipeline marked the dataset rectified")
-	}
-	if !reflect.DeepEqual(before, dsA.Series(1).All()) {
-		t.Error("ablated pipeline rewrote timestamps")
+	if !reflect.DeepEqual(drain(ablated.crewIter("A", 0)), before) {
+		t.Error("ablated pipeline does not read the local clocks")
 	}
 
-	srcB, dsB := syntheticSyncSource(2*time.Second, 0)
-	normal, err := NewPipeline(srcB)
+	normal, err := NewPipeline(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,42 +368,151 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cors) == 0 || !dsB.Rectified() {
-		t.Fatal("default pipeline did not rectify")
+	if len(cors) == 0 {
+		t.Fatal("default pipeline did not fit corrections")
 	}
-	if reflect.DeepEqual(before, dsB.Series(1).All()) {
-		t.Error("default pipeline left the skewed timestamps in place")
+	if reflect.DeepEqual(drain(normal.crewIter("A", 0)), before) {
+		t.Error("default pipeline reads the skewed timestamps")
+	}
+	if !reflect.DeepEqual(before, ds.Series(1).All()) {
+		t.Error("a pipeline rewrote the shared dataset")
 	}
 }
 
-// TestSettersPanicMidAnalysis pins the loud-failure contract of the
-// parameter setters: changing a parameter while an analysis is in flight
-// panics instead of silently racing the memo caches.
-func TestSettersPanicMidAnalysis(t *testing.T) {
-	src, _ := syntheticSyncSource(time.Second, 0)
-	p, err := NewPipeline(src, WithoutRectification())
+// TestFoldAcrossMidnightUnderSkew pins that a live fold marks the window of
+// an appended record's reference-time day, not its local-clock day. The
+// badge's clock runs a minute behind reference time, so beacon sightings
+// appended after the first analysis at local 23:59 of day 2 belong to
+// day 3 once rectified. Marking the local day would leave day 3's memoized
+// track without them, and the live report would diverge from the batch one.
+func TestFoldAcrossMidnightUnderSkew(t *testing.T) {
+	sites := habitat.Standard().Beacons()
+	home, away := sites[0], sites[0]
+	for _, s := range sites {
+		if s.Room != home.Room {
+			away = s
+			break
+		}
+	}
+	if away.Room == home.Room {
+		t.Fatal("standard habitat has beacons in one room only")
+	}
+	c := timesync.Correction{Offset: -time.Minute, N: 1}
+	local := func(ref time.Duration) time.Duration { return c.ToLocal(ref) }
+	beacon := func(ref time.Duration, site habitat.BeaconSite) record.Record {
+		return record.Record{Local: local(ref), Kind: record.KindBeacon, PeerID: uint16(site.ID), RSSI: -50}
+	}
+	midnight := simtime.StartOfDay(3)
+
+	// Worn throughout, at home from 22:00 to 02:00 except a gap in the
+	// first five minutes of day 3.
+	var head []record.Record
+	head = append(head, record.Record{Local: local(simtime.StartOfDay(2)), Kind: record.KindWear, Worn: true})
+	for ref := midnight - 2*time.Hour; ref < midnight+2*time.Hour; ref += 5 * time.Second {
+		if ref < midnight || ref >= midnight+5*time.Minute {
+			head = append(head, beacon(ref, home))
+		}
+	}
+	// Appended later: a minute away, in the gap — local day 2, reference
+	// day 3.
+	var tail []record.Record
+	for ref := midnight + 5*time.Second; ref < midnight+time.Minute; ref += 5 * time.Second {
+		r := beacon(ref, away)
+		if simtime.DayOf(r.Local) != 2 || simtime.DayOf(ref) != 3 {
+			t.Fatalf("fixture record at local %v / ref %v does not straddle midnight", r.Local, ref)
+		}
+		tail = append(tail, r)
+	}
+
+	source := func(ds *store.Dataset) Source {
+		return Source{
+			Habitat:  habitat.Standard(),
+			Data:     ds,
+			Names:    []string{"A"},
+			BadgeFor: func(string, int) store.BadgeID { return 1 },
+			FirstDay: 2,
+			LastDay:  3,
+		}
+	}
+	cors := map[store.BadgeID]timesync.Correction{1: c}
+
+	liveDS := store.NewDataset()
+	loadAll(liveDS, map[store.BadgeID][]record.Record{1: head})
+	live, err := NewPipeline(source(liveDS), WithCorrections(cors))
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop := live.Follow()
+	defer stop()
+	first := live.Report()
+	loadAll(liveDS, map[store.BadgeID][]record.Record{1: tail})
+	got := live.Report()
 
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic with an analysis in flight", name)
+	batchDS := store.NewDataset()
+	loadAll(batchDS, map[store.BadgeID][]record.Record{1: append(append([]record.Record(nil), head...), tail...)})
+	batch, err := NewPipeline(source(batchDS), WithCorrections(cors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch.Report()
+	if want == first {
+		t.Fatal("appended records do not change the report; fixture no longer exercises the fold")
+	}
+	if got != want {
+		t.Errorf("live report after a midnight-straddling append diverges from batch:\n--- live ---\n%s\n--- batch ---\n%s", got, want)
+	}
+}
+
+// TestFirstAnalysisRacesAppends races a following pipeline's first
+// analyses — and with them the moment its corrections become final —
+// against the appends that fill its empty dataset. Appends notified before
+// that moment are not marked stale, which is exact only because no window
+// can have been read yet; once appends quiesce, the report must equal the
+// batch one. Run with -race.
+func TestFirstAnalysisRacesAppends(t *testing.T) {
+	const seed = 31
+	batchDS := randomMission(seed)
+	cors := FitCorrections(batchDS)
+	batch, err := NewPipeline(missionSource(batchDS), WithCorrections(cors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch.Report()
+
+	recs := make(map[store.BadgeID][]record.Record)
+	for _, id := range batchDS.Badges() {
+		recs[id] = batchDS.Series(id).All()
+	}
+	liveDS := store.NewDataset()
+	live, err := NewPipeline(missionSource(liveDS), WithCorrections(cors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := live.Follow()
+	defer stop()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				live.Transitions(nil)
+				live.WalkingFraction("N1")
 			}
 		}()
-		fn()
 	}
-	p.inflight.Add(1)
-	expectPanic("SetMinDwell", func() { p.SetMinDwell(time.Second) })
-	expectPanic("SetLocWindow", func() { p.SetLocWindow(time.Second) })
-	expectPanic("SetSpeechConfig", func() { p.SetSpeechConfig(p.SpeechConfig) })
-	p.inflight.Add(-1)
+	loadAll(liveDS, recs)
+	close(done)
+	wg.Wait()
 
-	// Quiescent setters work.
-	p.SetMinDwell(2 * time.Second)
-	if p.MinDwell != 2*time.Second {
-		t.Error("quiescent SetMinDwell had no effect")
+	if got := live.Report(); got != want {
+		t.Errorf("live report after racing appends diverges from batch:\n--- live ---\n%s\n--- batch ---\n%s", got, want)
 	}
 }

@@ -67,9 +67,10 @@ func randomMission(seed int64) *store.Dataset {
 	return d
 }
 
-func missionSource(data any) Source {
+func missionSource(data store.Viewer) Source {
 	src := Source{
 		Habitat:       habitat.Standard(),
+		Data:          data,
 		Names:         []string{"N1", "N2", "N3", "N4"},
 		VoiceProfiles: map[string]float64{"N1": 208, "N2": 122, "N3": 136, "N4": 221},
 		FirstDay:      2,
@@ -83,12 +84,6 @@ func missionSource(data any) Source {
 		}
 		return 0
 	}
-	switch v := data.(type) {
-	case *store.Dataset:
-		src.Dataset = v
-	case store.Viewer:
-		src.Data = v
-	}
 	return src
 }
 
@@ -101,11 +96,11 @@ func reportOf(t *testing.T, src Source) string {
 	return p.Report()
 }
 
-// TestOutOfCoreReportParity is the satellite-4 property: for random seeded
+// TestOutOfCoreReportParity is the out-of-core property: for random seeded
 // missions, the report computed against a reopened segment archive is
-// byte-identical to the one computed against the resident dataset — the
-// archive-backed pipeline rectifies lazily through view wrappers, the
-// resident one rewrites in place, and neither may show through.
+// byte-identical to the one computed against the resident dataset — both
+// read through rectified views, over segment readers and in-memory series
+// respectively, and the backend must not show through.
 func TestOutOfCoreReportParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property over random missions in -short mode")

@@ -53,8 +53,8 @@ func (p *Pipeline) forEachName(fn func(name string)) {
 }
 
 // Warm concurrently precomputes every memoized per-astronaut derivation —
-// records, worn ranges, localization tracks, room intervals, activity
-// windows, and mic frames — across the crew, using the pipeline's fan-out
+// worn ranges, localization tracks, room intervals, activity windows, and
+// mic frames — across the crew, using the pipeline's fan-out
 // width. Analyses issued afterwards run from the caches. Warm is safe to
 // call concurrently and is idempotent; the crew-level analyses call it
 // implicitly, so explicit use is only an optimization for callers that go

@@ -10,34 +10,43 @@
 // astronaut attribution of badge records via the assignment metadata, then
 // localization, speech, activity, and proximity analyses.
 //
+// # One source, read-time rectification
+//
+// A pipeline reads one store.Viewer — a resident store.Dataset or a
+// segment archive alike — whose records stay on the badges' local clocks.
+// Each badge's clock correction is either supplied at construction
+// (WithCorrections) or fitted once from the badge's sync records
+// (FitCorrections), and every read goes through a view that maps
+// timestamps to reference time (store.RectifyView). Nothing is rewritten in
+// place, so any number of pipelines — e.g. the true and nominal assignment
+// views over one simulated mission — share a source freely.
+//
 // # Incremental operators
 //
 // Every derivation is folded from per-(astronaut, day) window partials —
-// the day's record slice, raw localization track, raw mic frames, raw
-// activity windows, and IR contacts — memoized independently of the
-// astronaut-level results assembled from them. The batch path is simply
-// "fold everything": deriving over a complete dataset computes each window
-// once and concatenates, byte-identical to deriving from the full record
-// stream (the localization and activity windows are aligned to absolute
-// time and divide the day, so no analysis window ever spans a day
-// boundary).
+// the day's raw localization track, raw mic frames, raw activity windows,
+// IR contacts, and daytime recording coverage — assembled into
+// astronaut-level results. The batch path
+// is simply "fold everything": deriving over a complete dataset computes
+// each window once and concatenates, byte-identical to deriving from the
+// full record stream (the localization and activity windows are aligned to
+// absolute time and divide the day, so no analysis window ever spans a day
+// boundary; NewPipeline rejects a localization window that does not).
 //
 // The same structure serves live data: Follow subscribes the pipeline to
-// its dataset's append notifications, and each new record marks only its
-// (badge, day) window stale. The next analysis drops exactly the affected
-// windows and the astronaut-level caches folding them — everything else
-// stays warm. See fold.go for the invalidation machinery and DESIGN.md for
-// the model.
+// its source's append notifications, and each new record marks only its
+// (badge, day) window stale — the day of its rectified timestamp. The next
+// analysis drops exactly the affected windows and the astronaut-level
+// caches folding them — everything else stays warm. Window partials are
+// memoized only while following, since nothing else can invalidate one. See
+// fold.go for the invalidation machinery and DESIGN.md for the model.
 //
 // # Concurrency
 //
 // A Pipeline is safe for concurrent use. Every derivation is memoized with
 // compute-once-per-key semantics: concurrent callers of the same derivation
-// block on a single in-flight computation instead of repeating it. Clock
-// rectification runs exactly once per *dataset* (not per pipeline), so any
-// number of pipelines — e.g. the true and nominal assignment views over one
-// simulated mission — can share a dataset without re-applying corrections
-// to already-rectified timestamps.
+// block on a single in-flight computation instead of repeating it, and the
+// correction fit runs once per pipeline.
 //
 // Crew-level analyses (Report, TableI, Transitions, Pairwise, Wear,
 // Timeline, ...) fan their per-astronaut work out across a bounded worker
@@ -48,9 +57,7 @@
 // Queries racing a live fold (records arriving via Follow) are safe and see
 // stale-but-consistent memoized values; once appends quiesce, the next
 // analysis folds everything pending in and is exact. Analysis parameters
-// (SetMinDwell, SetLocWindow, SetSpeechConfig) must not race with in-flight
-// analyses; the setters detect in-flight work and panic instead of
-// corrupting memo state.
+// are fixed at construction, so no configuration can race an analysis.
 package sociometry
 
 import (
@@ -73,21 +80,16 @@ import (
 	"icares/internal/timesync"
 )
 
-// Source describes a mission dataset to analyze. Exactly one of Dataset and
-// Data must be set: Dataset is the resident, mutable store (records on
-// local clocks until RectifyClocks rewrites them in place); Data is any
-// read-only Viewer — typically a store.SegmentStore reopened from an
-// archive — whose views the pipeline rectifies lazily instead, since an
-// immutable backend cannot rewrite timestamps. Either way every analysis is
-// byte-identical.
+// Source describes a mission dataset to analyze. Data is the one record
+// source — a resident store.Dataset, a store.SegmentStore reopened from an
+// archive, or any other Viewer — holding every badge's records on that
+// badge's local clock. The pipeline never rewrites it: every read goes
+// through a view that maps timestamps to reference time (see RectifyClocks),
+// so any number of pipelines can share one source.
 type Source struct {
 	// Habitat is the floor plan the data was collected in.
 	Habitat *habitat.Habitat
-	// Dataset holds the per-badge record series (local clocks until
-	// RectifyClocks is run).
-	Dataset *store.Dataset
-	// Data is the read-only alternative to Dataset: an out-of-core (or
-	// otherwise immutable) record source satisfying store.Viewer.
+	// Data holds the per-badge record series, on local clocks.
 	Data store.Viewer
 	// Names lists the astronauts.
 	Names []string
@@ -109,10 +111,8 @@ func (s Source) validate() error {
 	switch {
 	case s.Habitat == nil:
 		return errors.New("sociometry: nil habitat")
-	case s.Dataset == nil && s.Data == nil:
-		return errors.New("sociometry: no record source (set Dataset or Data)")
-	case s.Dataset != nil && s.Data != nil:
-		return errors.New("sociometry: both Dataset and Data set (pick one record source)")
+	case s.Data == nil:
+		return errors.New("sociometry: nil record source")
 	case len(s.Names) == 0:
 		return errors.New("sociometry: no astronauts")
 	case s.BadgeFor == nil:
@@ -129,41 +129,29 @@ type wkey struct {
 	day  int
 }
 
-// Pipeline is a configured analysis over one source. It is safe for
-// concurrent use; see the package comment for the memoization and
-// determinism guarantees.
+// Pipeline is a configured analysis over one source. Its parameters are
+// fixed at construction (see the With* options). It is safe for concurrent
+// use; see the package comment for the memoization and determinism
+// guarantees.
 type Pipeline struct {
 	src Source
 
-	// SpeechConfig holds the Fig. 6 thresholds (default: the paper's
-	// 60 dB / 20%). Use SetSpeechConfig to change it after analyses ran.
-	SpeechConfig speech.Config
-	// LocWindow is the localization scan window. Use SetLocWindow to
-	// change it after analyses ran.
-	LocWindow time.Duration
-	// MinDwell is the Fig. 2 dwell filter (default 10 s; 0 disables).
-	// Use SetMinDwell to change it after analyses ran.
-	MinDwell time.Duration
+	// Analysis parameters, fixed at construction.
+	speechCfg speech.Config // Fig. 6 thresholds (WithSpeechConfig)
+	locWindow time.Duration // localization scan window; divides the day (WithLocWindow)
+	minDwell  time.Duration // Fig. 2 dwell filter; 0 disables (WithMinDwell)
+
 	// Parallelism bounds the worker pool of crew-level analyses:
 	// 0 means runtime.NumCPU(), 1 forces sequential execution.
 	Parallelism int
 
-	// disableRect skips clock correction (ablation only): all cross-badge
-	// analyses then run on skewed local clocks. Latched at construction via
-	// WithoutRectification — a mutable flag consulted lazily was a footgun
-	// (setting it after the first derivation silently did nothing, and it
-	// raced with concurrent analyses).
-	disableRect bool
-
-	// rectified/corrections memoize this pipeline's view of the
-	// dataset-level rectification (the dataset itself guards against
-	// double application). For a read-only Data source, views holds the
-	// per-badge rectified read views instead — the source's raw views
-	// wrapped to answer in reference time (see rectview.go) — since an
-	// immutable backend cannot be rewritten in place.
-	rectMu      memoOnce
+	// corrections maps each badge to its clock correction; a badge absent
+	// from the map keeps its local clock. Supplied at construction
+	// (WithCorrections) or fitted by the first RectifyClocks; rectified
+	// flips once the map is final, and the map is read-only from then on.
+	rectOnce    sync.Once
 	corrections map[store.BadgeID]timesync.Correction
-	views       map[store.BadgeID]store.View
+	rectified   atomic.Bool
 
 	// locator is built once per pipeline and shared by every window
 	// computation (it is immutable after construction).
@@ -175,23 +163,21 @@ type Pipeline struct {
 	// is assembled from. Raw means before the worn filter — worn ranges are
 	// an astronaut-level, cross-day scan, so the filter applies at the
 	// astronaut level. Each partial folds straight off a window cursor
-	// (windowIter) — raw day record slices are never memoized, so resident
-	// memory stays bounded by the source's cache, not the dataset.
+	// (windowIter), and they are memoized only while the pipeline follows
+	// appends (Follow): without appends no window is ever invalidated, so
+	// each partial is computed exactly once for the astronaut-level cache
+	// folding it, and holding it would only double resident memory.
 	winTrack    memo[wkey, []localization.Fix]  // raw localization fixes (loc window)
 	winFrames   memo[wkey, []speech.Frame]      // raw mic frames (speech config)
 	winActivity memo[wkey, []activity.Sample]   // raw classified activity windows
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
+	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
-	// Memoized per-astronaut derivations, folded from the window partials.
-	// Dependency order matters for invalidation scoping (see invalidate):
+	// Memoized per-astronaut derivations, folded from the window partials:
 	//
-	//	worn ── frames            (speech config)
-	//	  └─ track (loc window) ── intervals (min dwell) ── presence
+	//	worn ── frames
+	//	  └─ track ── intervals ── presence
 	//	  └─ activity (walking windows)
-	//
-	// records backs the public RecordsFor materialization only; no report
-	// derivation reads it (they stream cursors instead).
-	recordsCache  memo[string, []record.Record]
 	wornCache     memo[string, record.RangeSet]
 	trackCache    memo[string, []localization.Fix]
 	intervalCache memo[string, []localization.Interval]
@@ -204,6 +190,7 @@ type Pipeline struct {
 
 	// Streaming fold state (fold.go): append notifications mark (badge,
 	// day) windows stale; the next top-level analysis applies the marks.
+	following atomic.Bool
 	foldMu    sync.Mutex
 	staleMu   sync.Mutex
 	stale     map[staleKey]struct{}
@@ -214,40 +201,60 @@ type Pipeline struct {
 	tel *telemetry.Registry
 }
 
-// memoOnce is a tiny once-with-reset used for the rectification handshake.
-type memoOnce struct {
-	m memo[struct{}, struct{}]
-}
-
-func (o *memoOnce) do(fn func()) {
-	o.m.get(struct{}{}, func(struct{}) struct{} { fn(); return struct{}{} })
-}
-
 // Option configures a pipeline at construction.
 type Option func(*Pipeline)
 
-// WithoutRectification builds the pipeline for the timesync ablation: clock
-// corrections are skipped and all cross-badge analyses run on skewed local
-// clocks. Use it on a pipeline that owns its dataset — a dataset already
-// rectified by another pipeline stays rectified.
-func WithoutRectification() Option {
-	return func(p *Pipeline) { p.disableRect = true }
+// WithCorrections supplies the per-badge clock corrections instead of
+// fitting them from the source's sync records. Badges missing from the map
+// keep their local clocks, so WithCorrections(nil) is the timesync
+// ablation: every cross-badge analysis runs on skewed local clocks. A live
+// pipeline uses it to read with corrections fitted elsewhere (FitCorrections
+// over the complete SD-card data), so its results do not depend on which
+// sync records had arrived by its first analysis. The map is copied.
+func WithCorrections(cors map[store.BadgeID]timesync.Correction) Option {
+	return func(p *Pipeline) {
+		p.corrections = make(map[store.BadgeID]timesync.Correction, len(cors))
+		for id, c := range cors {
+			p.corrections[id] = c
+		}
+	}
+}
+
+// WithMinDwell sets the Fig. 2 dwell filter (default 10 s; 0 disables).
+func WithMinDwell(d time.Duration) Option {
+	return func(p *Pipeline) { p.minDwell = d }
+}
+
+// WithLocWindow sets the localization scan window (default 15 s). Windows
+// are aligned to absolute time and folded per day, so the window must be
+// positive and divide 24 h; NewPipeline rejects any other value.
+func WithLocWindow(w time.Duration) Option {
+	return func(p *Pipeline) { p.locWindow = w }
+}
+
+// WithSpeechConfig sets the Fig. 6 thresholds (default: the paper's
+// 60 dB / 20%).
+func WithSpeechConfig(cfg speech.Config) Option {
+	return func(p *Pipeline) { p.speechCfg = cfg }
 }
 
 // NewPipeline validates the source and builds a pipeline with the paper's
-// default parameters.
+// default parameters, overridden by opts.
 func NewPipeline(src Source, opts ...Option) (*Pipeline, error) {
 	if err := src.validate(); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
-		src:          src,
-		SpeechConfig: speech.DefaultConfig(),
-		LocWindow:    15 * time.Second,
-		MinDwell:     localization.DefaultMinDwell,
+		src:       src,
+		speechCfg: speech.DefaultConfig(),
+		locWindow: 15 * time.Second,
+		minDwell:  localization.DefaultMinDwell,
 	}
 	for _, opt := range opts {
 		opt(p)
+	}
+	if p.locWindow <= 0 || (24*time.Hour)%p.locWindow != 0 {
+		return nil, fmt.Errorf("sociometry: localization window %v does not divide the day", p.locWindow)
 	}
 	return p, nil
 }
@@ -257,11 +264,11 @@ func (p *Pipeline) Source() Source { return p.src }
 
 // SetTelemetry mirrors each memoized derivation's compute time (wall
 // clock, seconds) into reg's "sociometry_stage_seconds" histogram,
-// labelled by stage (records, worn, track, intervals, frames, activity) —
-// the per-stage profile of the analysis engine. Because derivations are
+// labelled by stage (worn, track, intervals, frames, activity) — the
+// per-stage profile of the analysis engine. Because derivations are
 // compute-once, each (stage, astronaut) contributes one observation per
 // cache fill; invalidation and recomputation contribute again. Set it
-// before the first analysis, like the other pipeline parameters.
+// before the first analysis.
 func (p *Pipeline) SetTelemetry(reg *telemetry.Registry) { p.tel = reg }
 
 // observeStage records one stage computation's wall time.
@@ -278,59 +285,44 @@ func (p *Pipeline) Horizon() time.Duration {
 	return simtime.StartOfDay(p.src.LastDay + 1)
 }
 
-// RectifyClocks estimates each badge's clock correction from its sync
-// records and rewrites the dataset's timestamps to reference (mission)
-// time. It must run before any cross-badge analysis; every analysis method
-// calls it implicitly. Badges without enough sync observations keep their
-// local clocks (correction identity) — their records remain usable for
-// per-badge analyses.
-//
-// Rectification is idempotent at the dataset level: the first pipeline to
-// rectify a dataset rewrites the timestamps and records the corrections on
-// the dataset itself; later pipelines over the same dataset (e.g. a second
-// assignment view of one Simulate run) adopt those corrections without
-// re-applying them. Concurrent callers block until the one in-flight
-// rectification completes.
-//
-// Rectification also installs each badge's correction as the series'
-// append-time rectifier, so records arriving after this point (a live fold)
-// are rewritten to reference time individually on ingest — the incremental
-// form of the same rewrite, touching only new records. Corrections are
-// frozen once estimated: later sync exchanges do not re-fit (a re-fit would
-// perturb already-rewritten timestamps and break determinism).
+// RectifyClocks returns the per-badge clock corrections every read goes
+// through: the ones supplied with WithCorrections, or else the ones
+// FitCorrections estimates from the source's sync records on the first
+// call. Every analysis calls it before reading, so cross-badge analyses
+// always see reference time. Corrections are frozen once fitted: sync
+// exchanges arriving later do not re-fit. The source itself is never
+// rewritten. Concurrent callers block until the one fit completes.
 func (p *Pipeline) RectifyClocks() (map[store.BadgeID]timesync.Correction, error) {
-	p.rectMu.do(func() {
-		if p.src.Dataset == nil {
-			p.rectifyViews()
-			return
+	p.rectOnce.Do(func() {
+		if p.corrections == nil {
+			p.corrections = FitCorrections(p.src.Data)
 		}
-		if p.disableRect && !p.src.Dataset.Rectified() {
-			// Ablation: leave the dataset on skewed local clocks, and do
-			// not mark it rectified — the ablation is pipeline-local.
-			p.corrections = make(map[store.BadgeID]timesync.Correction)
-			return
-		}
-		p.corrections = p.src.Dataset.RectifyOnce(func() map[store.BadgeID]timesync.Correction {
-			out := make(map[store.BadgeID]timesync.Correction)
-			for _, id := range p.src.Dataset.Badges() {
-				s := p.src.Dataset.Series(id)
-				var est timesync.Estimator
-				it := s.Iter(minTime, maxTime, record.KindSync)
-				est.ObserveCursor(&it)
-				c, err := est.Fit()
-				if err != nil {
-					// Not enough exchanges: keep local time.
-					out[id] = timesync.Identity()
-					continue
-				}
-				out[id] = c
-				s.Rectify(c.ToReference)
-				s.SetRectifier(c.ToReference)
-			}
-			return out
-		})
+		p.rectified.Store(true)
 	})
 	return p.corrections, nil
+}
+
+// FitCorrections estimates each badge's clock correction from one
+// streaming pass over its sync records. Badges without enough sync
+// observations get the identity correction: they keep their local clocks,
+// and their records remain usable for per-badge analyses.
+func FitCorrections(data store.Viewer) map[store.BadgeID]timesync.Correction {
+	out := make(map[store.BadgeID]timesync.Correction)
+	for _, id := range data.Badges() {
+		v, ok := data.View(id)
+		if !ok {
+			continue
+		}
+		var est timesync.Estimator
+		it := v.Iter(minTime, maxTime, record.KindSync)
+		est.ObserveCursor(&it)
+		c, err := est.Fit()
+		if err != nil {
+			c = timesync.Identity()
+		}
+		out[id] = c
+	}
+	return out
 }
 
 // minTime/maxTime span the whole timestamp domain for full Iter scans.
@@ -339,86 +331,26 @@ const (
 	maxTime = time.Duration(math.MaxInt64)
 )
 
-// rectifyViews is the read-only-source counterpart of the dataset branch in
-// RectifyClocks: instead of rewriting timestamps in place (impossible on an
-// immutable backend) it builds the per-badge read views every query runs
-// through. If the source records that it was archived after rectification
-// (store.SegmentStore reads this from the segment manifest), the persisted
-// corrections are adopted as-is and the raw views already answer in
-// reference time; otherwise each badge's correction is fitted from one
-// streaming pass over its sync records and the view is wrapped to rectify
-// lazily (rectview.go). Badges whose fit fails keep their local clocks,
-// exactly like the in-place path.
-func (p *Pipeline) rectifyViews() {
-	p.corrections = make(map[store.BadgeID]timesync.Correction)
-	p.views = make(map[store.BadgeID]store.View)
-
-	type rectInfo interface {
-		Rectified() bool
-		Corrections() map[store.BadgeID]timesync.Correction
-	}
-	var persisted map[store.BadgeID]timesync.Correction
-	adopted := false
-	if ri, ok := p.src.Data.(rectInfo); ok && ri.Rectified() {
-		adopted = true
-		persisted = ri.Corrections()
-	}
-
-	for _, id := range p.src.Data.Badges() {
-		v, ok := p.src.Data.View(id)
-		if !ok {
-			continue
-		}
-		switch {
-		case p.disableRect:
-			// Ablation: skewed local clocks, no corrections reported.
-			p.views[id] = v
-		case adopted:
-			// Timestamps were rewritten before the archive was saved; adopt
-			// the persisted correction without re-applying it.
-			c, ok := persisted[id]
-			if !ok {
-				c = timesync.Identity()
-			}
-			p.corrections[id] = c
-			p.views[id] = v
-		default:
-			var est timesync.Estimator
-			it := v.Iter(minTime, maxTime, record.KindSync)
-			est.ObserveCursor(&it)
-			c, err := est.Fit()
-			if err != nil {
-				p.corrections[id] = timesync.Identity()
-				p.views[id] = v
-				continue
-			}
-			p.corrections[id] = c
-			p.views[id] = rectifyView(v, c)
-		}
-	}
-	if p.disableRect {
-		p.corrections = make(map[store.BadgeID]timesync.Correction)
-	}
-}
-
-// view returns the badge's rectified read view from whichever backend the
-// source carries, or ok == false when the badge has no data. Rectification
-// (memoized) runs first so callers always see reference time.
+// view returns the badge's read view in reference time, or ok == false
+// when the badge has no data. A badge with a correction reads through
+// store.RectifyView; one without reads its local clock. The view is looked up on
+// every call, so badges a live source gains after the first analysis are
+// seen.
 func (p *Pipeline) view(id store.BadgeID) (store.View, bool) {
-	p.RectifyClocks()
-	if p.src.Dataset != nil {
-		return p.src.Dataset.View(id)
+	cors, _ := p.RectifyClocks()
+	v, ok := p.src.Data.View(id)
+	if !ok {
+		return nil, false
 	}
-	v, ok := p.views[id]
-	return v, ok
+	if c, ok := cors[id]; ok {
+		return store.RectifyView(v, c), true
+	}
+	return v, true
 }
 
 // sourceBytes returns the source's framed-encoding size (the paper's
-// "150 GiB" figure) from whichever backend can answer it; 0 if none can.
+// "150 GiB" figure), or 0 if the source cannot answer it.
 func (p *Pipeline) sourceBytes() int64 {
-	if p.src.Dataset != nil {
-		return p.src.Dataset.EncodedBytes()
-	}
 	if eb, ok := p.src.Data.(interface{ EncodedBytes() int64 }); ok {
 		return eb.EncodedBytes()
 	}
@@ -436,25 +368,6 @@ func (p *Pipeline) sharedLocator() (*localization.Locator, error) {
 		p.locator, p.locErr = localization.NewLocator(p.src.Habitat)
 	})
 	return p.locator, p.locErr
-}
-
-// locAligned reports whether per-day localization windows compose exactly:
-// windows are aligned to absolute time, so day-wise folds equal the
-// whole-stream derivation iff the window divides the day. The default 15 s
-// does; an exotic SetLocWindow value falls back to whole-stream derivation
-// instead of silently changing results.
-func (p *Pipeline) locAligned() bool {
-	return p.LocWindow > 0 && (24*time.Hour)%p.LocWindow == 0
-}
-
-// activityAligned is the same guard for the activity classifier's window.
-// The pipeline always classifies with activity.DefaultConfig (10 s, which
-// divides the day), but the guard keeps the per-day fold honest if that
-// default ever changes — activitySamples falls back to a whole-stream
-// classification just like track does for an exotic LocWindow.
-func activityAligned() bool {
-	w := activity.DefaultConfig().Window
-	return w > 0 && (24*time.Hour)%w == 0
 }
 
 // windowIter returns a streaming cursor over one fold window: the day
@@ -475,8 +388,7 @@ func (p *Pipeline) windowIter(name string, day int, k record.Kind) record.Cursor
 
 // crewIter chains the astronaut's per-day windows into one continuous
 // cursor over the data days — the whole-mission stream the astronaut-level
-// scans (worn ranges, whole-stream track/classify fallbacks) fold, without
-// ever materializing it.
+// scans (worn ranges, environment) fold, without ever materializing it.
 func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	day := p.src.FirstDay
 	var cur record.Cursor
@@ -498,30 +410,29 @@ func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	})
 }
 
-// windowMemo reports whether per-window partials should be memoized. Only a
-// mutable Dataset invalidates windows (appends via Follow); a read-only
-// source computes each partial exactly once for the astronaut-level cache
-// folding it, so memoizing would hold every window's slice forever purely
-// as overhead — on paper-scale archives, roughly doubling resident memory.
-func (p *Pipeline) windowMemo() bool { return p.src.Dataset != nil }
+// windowPartial returns one fold window's partial from m, memoized only
+// while the pipeline follows appends — the only thing that can invalidate
+// a window (see the window partial fields of Pipeline).
+func windowPartial[V any](p *Pipeline, m *memo[wkey, V], name string, day int, compute func(wkey) V) V {
+	if !p.following.Load() {
+		return compute(wkey{name, day})
+	}
+	return m.get(wkey{name, day}, compute)
+}
 
 // windowTrack returns one fold window's raw localization fixes.
 func (p *Pipeline) windowTrack(name string, day int) []localization.Fix {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []localization.Fix {
+	return windowPartial(p, &p.winTrack, name, day, func(k wkey) []localization.Fix {
 		loc, err := p.sharedLocator()
 		if err != nil {
 			return nil
 		}
 		it := p.windowIter(k.name, k.day, record.KindBeacon)
-		return loc.TrackCursor(&it, p.LocWindow)
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winTrack.get(wkey{name, day}, compute)
+		return loc.TrackCursor(&it, p.locWindow)
+	})
 }
 
 // windowFrames returns one fold window's raw mic frames.
@@ -529,57 +440,21 @@ func (p *Pipeline) windowFrames(name string, day int) []speech.Frame {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []speech.Frame {
+	return windowPartial(p, &p.winFrames, name, day, func(k wkey) []speech.Frame {
 		it := p.windowIter(k.name, k.day, record.KindMic)
-		return speech.FramesCursor(&it, p.SpeechConfig)
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winFrames.get(wkey{name, day}, compute)
+		return speech.FramesCursor(&it, p.speechCfg)
+	})
 }
 
 // windowActivity returns one fold window's raw classified activity samples.
+// The classifier's 10 s window divides the day, so per-day folds are exact.
 func (p *Pipeline) windowActivity(name string, day int) []activity.Sample {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []activity.Sample {
+	return windowPartial(p, &p.winActivity, name, day, func(k wkey) []activity.Sample {
 		it := p.windowIter(k.name, k.day, record.KindAccel)
 		return activity.ClassifyCursor(&it, activity.DefaultConfig())
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winActivity.get(wkey{name, day}, compute)
-}
-
-// RecordsFor returns the astronaut's records across all data days,
-// concatenated according to the day-wise badge assignment and rectified to
-// mission time. Computed once per astronaut; the returned slice is a
-// shared read-only view.
-func (p *Pipeline) RecordsFor(name string) []record.Record {
-	p.beginAnalysis()
-	defer p.endAnalysis()
-	return p.recordsFor(name)
-}
-
-func (p *Pipeline) recordsFor(name string) []record.Record {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
-	return p.recordsCache.get(name, func(name string) []record.Record {
-		defer p.observeStage("records", time.Now())
-		// Materialization is what the public accessor promises; the report
-		// path never takes it — every derivation streams windowIter/crewIter
-		// cursors instead, which is what keeps out-of-core sources
-		// out-of-core.
-		var out []record.Record
-		it := p.crewIter(name, 0)
-		for b := it.NextBatch(); b != nil; b = it.NextBatch() {
-			out = append(out, b...)
-		}
-		return out
 	})
 }
 
@@ -603,9 +478,6 @@ func (p *Pipeline) WornRanges(name string) record.RangeSet {
 }
 
 func (p *Pipeline) wornRanges(name string) record.RangeSet {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
 	return p.wornCache.get(name, func(name string) record.RangeSet {
 		defer p.observeStage("worn", time.Now())
 		// Worn ranges are a stateful open/close scan across the whole
@@ -628,26 +500,14 @@ func (p *Pipeline) Track(name string) []localization.Fix {
 }
 
 func (p *Pipeline) track(name string) []localization.Fix {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
 	return p.trackCache.get(name, func(name string) []localization.Fix {
 		defer p.observeStage("track", time.Now())
+		// The scan window divides the day (checked at construction), so no
+		// window spans midnight and the per-day fold equals the
+		// whole-stream derivation.
 		var fixes []localization.Fix
-		if p.locAligned() {
-			for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-				fixes = append(fixes, p.windowTrack(name, day)...)
-			}
-		} else {
-			// A window that does not divide the day can span midnight, so
-			// the per-day fold would split it; derive from the continuous
-			// whole-mission beacon stream instead.
-			loc, err := p.sharedLocator()
-			if err != nil {
-				return nil
-			}
-			it := p.crewIter(name, record.KindBeacon)
-			fixes = loc.TrackCursor(&it, p.LocWindow)
+		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
+			fixes = append(fixes, p.windowTrack(name, day)...)
 		}
 		worn := p.wornRanges(name)
 		kept := make([]localization.Fix, 0, len(fixes))
@@ -674,7 +534,7 @@ func (p *Pipeline) intervals(name string) []localization.Interval {
 		// Interval assembly bridges gaps and deletes blips across day
 		// boundaries, so it derives from the concatenated track — the
 		// astronaut level is the lowest at which it is exact.
-		return localization.RoomIntervals(p.track(name), p.MinDwell, localization.DefaultMaxGap)
+		return localization.RoomIntervals(p.track(name), p.minDwell, localization.DefaultMaxGap)
 	})
 }
 
@@ -686,9 +546,6 @@ func (p *Pipeline) Frames(name string) []speech.Frame {
 }
 
 func (p *Pipeline) frames(name string) []speech.Frame {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
 		var raw []speech.Frame
@@ -710,21 +567,11 @@ func (p *Pipeline) walkingSamples(name string) []activity.Sample {
 }
 
 func (p *Pipeline) activitySamples(name string) []activity.Sample {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
 		var raw []activity.Sample
-		if activityAligned() {
-			for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-				raw = append(raw, p.windowActivity(name, day)...)
-			}
-		} else {
-			// Same midnight-spanning-window concern as track: classify the
-			// continuous stream when the window does not divide the day.
-			it := p.crewIter(name, record.KindAccel)
-			raw = activity.ClassifyCursor(&it, activity.DefaultConfig())
+		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
+			raw = append(raw, p.windowActivity(name, day)...)
 		}
 		return activity.FilterWorn(raw, p.wornRanges(name))
 	})
@@ -732,11 +579,10 @@ func (p *Pipeline) activitySamples(name string) []activity.Sample {
 
 // windowContacts returns one fold window's attributed IR contacts.
 func (p *Pipeline) windowContacts(name string, day int) []proximity.Contact {
-	id := p.src.BadgeFor(name, day)
-	if id == 0 {
+	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []proximity.Contact {
+	return windowPartial(p, &p.winContacts, name, day, func(k wkey) []proximity.Contact {
 		var out []proximity.Contact
 		it := p.windowIter(k.name, k.day, record.KindIR)
 		for it.Next() {
@@ -748,11 +594,7 @@ func (p *Pipeline) windowContacts(name string, day int) []proximity.Contact {
 			out = append(out, proximity.Contact{At: r.Local, A: k.name, B: peer})
 		}
 		return out
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winContacts.get(wkey{name, day}, compute)
+	})
 }
 
 // wearers returns the day's BadgeID→astronaut inverse of the assignment,
@@ -778,55 +620,4 @@ func (p *Pipeline) wearers(day int) map[store.BadgeID]string {
 func (p *Pipeline) wearerOf(id store.BadgeID, day int) (string, bool) {
 	name, ok := p.wearers(day)[id]
 	return name, ok
-}
-
-// invalidation scopes: each parameter setter drops exactly the caches its
-// parameter feeds into (see the dependency sketch on the cache fields),
-// including the window partials that depend on it.
-func (p *Pipeline) invalidateIntervals() {
-	p.intervalCache.reset()
-	p.presenceCache.reset()
-}
-
-func (p *Pipeline) invalidateTracks() {
-	p.winTrack.reset()
-	p.trackCache.reset()
-	p.invalidateIntervals()
-}
-
-func (p *Pipeline) invalidateFrames() {
-	p.winFrames.reset()
-	p.framesCache.reset()
-}
-
-// SetMinDwell changes the dwell filter. Only the interval-derived caches
-// are dropped: worn ranges, tracks, and frames do not depend on the dwell
-// filter and stay warm. Panics if an analysis is in flight (configure,
-// then analyze).
-func (p *Pipeline) SetMinDwell(d time.Duration) {
-	p.checkQuiescent("SetMinDwell")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.MinDwell = d
-	p.invalidateIntervals()
-}
-
-// SetLocWindow changes the localization scan window and drops the track-
-// derived caches. Panics if an analysis is in flight.
-func (p *Pipeline) SetLocWindow(w time.Duration) {
-	p.checkQuiescent("SetLocWindow")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.LocWindow = w
-	p.invalidateTracks()
-}
-
-// SetSpeechConfig changes the speech thresholds and drops the mic-frame
-// caches. Panics if an analysis is in flight.
-func (p *Pipeline) SetSpeechConfig(cfg speech.Config) {
-	p.checkQuiescent("SetSpeechConfig")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.SpeechConfig = cfg
-	p.invalidateFrames()
 }

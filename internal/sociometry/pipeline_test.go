@@ -44,7 +44,7 @@ func TestConcurrentHammer(t *testing.T) {
 			// order so the cache keys are hit from all sides.
 			for i := range names {
 				n := names[(i+g)%len(names)]
-				p.RecordsFor(n)
+				drain(p.crewIter(n, 0))
 				p.WornRanges(n)
 				p.Track(n)
 				p.Intervals(n)
@@ -71,7 +71,6 @@ func TestConcurrentHammer(t *testing.T) {
 		got  int64
 		want int64
 	}{
-		{"records", p.recordsCache.computeCount(), n},
 		{"worn", p.wornCache.computeCount(), n},
 		{"track", p.trackCache.computeCount(), n},
 		{"intervals", p.intervalCache.computeCount(), n},
@@ -107,14 +106,14 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 			got, len(meetings), n)
 	}
 
-	// Results unchanged: recompute the first meeting's loudness from
-	// scratch, bypassing the cache.
+	// Results unchanged: recompute the first meeting's loudness directly
+	// over the whole-mission record stream, bypassing the cache.
 	m := meetings[0]
 	var sum float64
 	var cnt int
 	for _, name := range m.Participants {
 		frames := speech.FilterWorn(
-			speech.Frames(p.RecordsFor(name), p.SpeechConfig),
+			speech.Frames(drain(p.crewIter(name, 0)), p.speechCfg),
 			p.WornRanges(name),
 		)
 		for _, f := range frames {
@@ -131,50 +130,6 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	}
 	if loud[0] != want {
 		t.Errorf("memoized meeting loudness %v != direct %v", loud[0], want)
-	}
-}
-
-// TestSetMinDwellInvalidationScope checks that changing the dwell filter
-// recomputes only the interval-derived caches: worn ranges, tracks, and
-// mic frames stay warm.
-func TestSetMinDwellInvalidationScope(t *testing.T) {
-	p := newFixturePipeline(t)
-	p.Warm()
-	p.Presence()
-	n := int64(len(p.src.Names))
-	base := 0
-	for _, name := range p.src.Names {
-		base += len(p.Intervals(name))
-	}
-
-	p.SetMinDwell(p.MinDwell * 10)
-	filtered := 0
-	for _, name := range p.src.Names {
-		filtered += len(p.Intervals(name))
-	}
-	p.Presence()
-
-	if filtered >= base {
-		t.Errorf("10x dwell filter kept %d intervals, had %d — not recomputed", filtered, base)
-	}
-	for _, c := range []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		// The analysis path streams per-window cursors now; only explicit
-		// RecordsFor calls (none in this test) fill the records cache.
-		{"records", p.recordsCache.computeCount(), 0},
-		{"worn", p.wornCache.computeCount(), n},
-		{"track", p.trackCache.computeCount(), n},
-		{"frames", p.framesCache.computeCount(), n},
-		{"activity", p.activityCache.computeCount(), n},
-		{"intervals", p.intervalCache.computeCount(), 2 * n},
-		{"presence", p.presenceCache.computeCount(), 2},
-	} {
-		if c.got != c.want {
-			t.Errorf("after SetMinDwell: %s computed %d times, want %d", c.name, c.got, c.want)
-		}
 	}
 }
 
@@ -233,7 +188,7 @@ func TestWalkingIgnoresUnwornPeriods(t *testing.T) {
 
 	p, err := NewPipeline(Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  ds,
+		Data:     ds,
 		Names:    []string{"Z"},
 		BadgeFor: func(string, int) store.BadgeID { return 7 },
 		FirstDay: 1, LastDay: 1,

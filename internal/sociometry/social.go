@@ -15,7 +15,8 @@ import (
 
 // Presence assembles the proximity input: per astronaut, the worn-time room
 // intervals. The per-astronaut intervals are derived in parallel and the
-// whole map is memoized (invalidated by SetMinDwell/SetLocWindow).
+// whole map is memoized (invalidated when a followed append touches any
+// astronaut).
 func (p *Pipeline) Presence() proximity.Presence {
 	p.beginAnalysis()
 	defer p.endAnalysis()
@@ -434,7 +435,7 @@ func (p *Pipeline) Wear() WearStats {
 			daytime += dr.Duration()
 			w := worn.Clip(dr).Total()
 			wornT += w
-			activeT += p.activeTimeIn(name, day, dr)
+			activeT += p.activeTimeIn(name, day)
 			dayWorn[day] += w.Seconds() / dr.Duration().Seconds()
 			dayCount[day]++
 		}
@@ -457,33 +458,37 @@ func (p *Pipeline) Wear() WearStats {
 
 // activeTimeIn estimates recording coverage inside one day's daytime
 // window: spans between consecutive records with gaps above 5 minutes
-// treated as inactive. The window lies inside one mission day, so only
-// that day's badge view contributes — streaming its window keeps Wear
-// out-of-core.
-func (p *Pipeline) activeTimeIn(name string, day int, window record.TimeRange) time.Duration {
+// treated as inactive. The window lies inside one mission day, so it is a
+// window partial: only that day's badge view contributes — streaming its
+// window keeps Wear out-of-core — and a live fold recomputes only the
+// windows appends touched.
+func (p *Pipeline) activeTimeIn(name string, day int) time.Duration {
 	const maxGap = 5 * time.Minute
 	id := p.src.BadgeFor(name, day)
 	if id == 0 {
 		return 0
 	}
-	v, ok := p.view(id)
-	if !ok {
-		return 0
-	}
-	var total time.Duration
-	var last time.Duration
-	started := false
-	it := v.Iter(window.From, window.To, 0)
-	for it.Next() {
-		r := it.Record()
-		if started {
-			gap := r.Local - last
-			if gap <= maxGap {
-				total += gap
-			}
+	return windowPartial(p, &p.winActive, name, day, func(k wkey) time.Duration {
+		v, ok := p.view(id)
+		if !ok {
+			return 0
 		}
-		last = r.Local
-		started = true
-	}
-	return total
+		var total time.Duration
+		var last time.Duration
+		started := false
+		window := daytimeRange(k.day)
+		it := v.Iter(window.From, window.To, 0)
+		for it.Next() {
+			r := it.Record()
+			if started {
+				gap := r.Local - last
+				if gap <= maxGap {
+					total += gap
+				}
+			}
+			last = r.Local
+			started = true
+		}
+		return total
+	})
 }

@@ -46,7 +46,7 @@ func newFixturePipeline(t *testing.T) *Pipeline {
 	res := missionFixture(t)
 	src := Source{
 		Habitat: res.Habitat,
-		Dataset: res.Dataset,
+		Data:    res.Dataset,
 		Names:   mission.Names(),
 		BadgeFor: func(name string, day int) store.BadgeID {
 			return res.Assignment.TrueBadgeFor(name, day)
@@ -70,8 +70,8 @@ func voiceProfiles(res *mission.Result) map[string]float64 {
 	return out
 }
 
-// The fixture pipeline is shared too: rectification mutates the dataset, so
-// build it once.
+// The fixture pipeline is shared too, so its memoized derivations are
+// computed once across tests.
 var (
 	pipeOnce sync.Once
 	pipe     *Pipeline
@@ -94,7 +94,7 @@ func TestPipelineValidation(t *testing.T) {
 	}
 	src := Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  store.NewDataset(),
+		Data:     store.NewDataset(),
 		Names:    []string{"A"},
 		BadgeFor: func(string, int) store.BadgeID { return 1 },
 		FirstDay: 5, LastDay: 2,
@@ -160,7 +160,7 @@ func TestTrackRecoversTruthRooms(t *testing.T) {
 			if !ts.Present || !ts.Worn {
 				continue
 			}
-			room, ok := byTime[ts.At-(ts.At%p.LocWindow)]
+			room, ok := byTime[ts.At-(ts.At%p.locWindow)]
 			if !ok {
 				continue
 			}

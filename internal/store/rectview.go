@@ -1,36 +1,33 @@
-package sociometry
+package store
 
 import (
 	"math"
 	"time"
 
 	"icares/internal/record"
-	"icares/internal/store"
 	"icares/internal/timesync"
 )
 
-// rectifiedView adapts an immutable read view onto reference time: every
-// record comes out with Local rectified by the badge's correction, and
-// window queries are answered by inverting the correction over the
-// underlying local-time view. Segment readers cannot Rectify in place (the
-// file is immutable), so this wrapper is the out-of-core counterpart of
-// Series.Rectify — with identical results for the monotone corrections
-// timesync estimates, proven by the parity tests.
+// rectifiedView adapts a badge's local-clock read view onto reference
+// time: every record comes out with Local rectified by the badge's
+// correction, and window queries are answered by inverting the correction
+// over the underlying local-time view. It is the one rectification path —
+// stored data, resident or archived, is never rewritten.
 type rectifiedView struct {
-	v store.View
+	v View
 	c timesync.Correction
 }
 
-var _ store.View = (*rectifiedView)(nil)
+var _ View = (*rectifiedView)(nil)
 
-// rectifyView wraps v so its records read in reference time. A degenerate
+// RectifyView wraps v so its records read in reference time. A degenerate
 // correction (1+Skew <= 0, under which ToReference reverses the time axis)
 // cannot be window-inverted monotonically, so that case materializes the
-// mapped records into an in-memory series — the same stable re-sort
-// Series.Rectify performs; realistic clock skews are parts per million.
-func rectifyView(v store.View, c timesync.Correction) store.View {
+// mapped records into an in-memory series, which re-sorts them stably;
+// realistic clock skews are parts per million.
+func RectifyView(v View, c timesync.Correction) View {
 	if 1+c.Skew <= 0 {
-		s := new(store.Series)
+		s := new(Series)
 		for _, r := range v.All() {
 			r.Local = c.ToReference(r.Local)
 			s.Append(r)
@@ -95,21 +92,27 @@ const rectifyBatch = 256
 
 func (rv *rectifiedView) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	inner := rv.v.Iter(rv.invertLower(from), rv.invertLower(to), k)
-	buf := make([]record.Record, 0, rectifyBatch)
+	var buf, pending []record.Record
 	return record.PullCursor(func() []record.Record {
-		// The buffer is reused between pulls — the documented Cursor
-		// contract (records are read by value; NextBatch slices are copied
-		// before the cursor advances).
-		buf = buf[:0]
-		for len(buf) < rectifyBatch && inner.Next() {
-			r := inner.Record()
-			r.Local = rv.c.ToReference(r.Local)
-			buf = append(buf, r)
+		// Inner batches are mapped rectifyBatch records at a time into one
+		// reused buffer — the documented Cursor contract (records are read
+		// by value; NextBatch slices are copied before the cursor
+		// advances). pending aliases the inner batch, which stays valid
+		// until the inner cursor advances, after pending is drained.
+		if len(pending) == 0 {
+			if pending = inner.NextBatch(); pending == nil {
+				return nil
+			}
 		}
-		if len(buf) == 0 {
-			return nil
+		if buf == nil {
+			buf = make([]record.Record, rectifyBatch)
 		}
-		return buf
+		out := buf[:copy(buf, pending)]
+		pending = pending[len(out):]
+		for i := range out {
+			out[i].Local = rv.c.ToReference(out[i].Local)
+		}
+		return out
 	})
 }
 

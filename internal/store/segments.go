@@ -12,7 +12,6 @@ import (
 
 	"icares/internal/record"
 	"icares/internal/segment"
-	"icares/internal/timesync"
 )
 
 // View is the read contract a sociometric query runs against: the
@@ -66,25 +65,12 @@ func segFileName(id BadgeID) string {
 // facts an immutable archive cannot reconstruct from the segments alone.
 const manifestName = "manifest.json"
 
-// manifest is the JSON sidecar written next to the segments. Rectified and
-// the corrections matter most: segment readers cannot Rectify in place, so
-// a reopened archive needs to know whether timestamps were already
-// rewritten to reference time — and with which corrections — to avoid
-// fitting (and applying) them a second time. FramedBytes preserves the
-// dataset's framed-log size for the paper's bytes-per-crew accounting.
+// manifest is the JSON sidecar written next to the segments. FramedBytes
+// preserves the dataset's framed-log size for the paper's bytes-per-crew
+// accounting. Archives hold records on local clocks like the dataset they
+// were saved from; fields an older layout wrote are ignored on decode.
 type manifest struct {
-	Rectified   bool                 `json:"rectified"`
-	FramedBytes int64                `json:"framed_bytes"`
-	Corrections []manifestCorrection `json:"corrections,omitempty"`
-}
-
-// manifestCorrection is one badge's clock correction in the manifest.
-type manifestCorrection struct {
-	Badge      BadgeID `json:"badge"`
-	OffsetNS   int64   `json:"offset_ns"`
-	Skew       float64 `json:"skew"`
-	ResidualNS int64   `json:"residual_ns"`
-	N          int     `json:"n"`
+	FramedBytes int64 `json:"framed_bytes"`
 }
 
 // SaveSegments writes the dataset as one compressed, immutable segment
@@ -137,19 +123,7 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 		}
 	}
 
-	man := manifest{Rectified: d.Rectified(), FramedBytes: d.EncodedBytes()}
-	for id, c := range d.Corrections() {
-		man.Corrections = append(man.Corrections, manifestCorrection{
-			Badge:      id,
-			OffsetNS:   int64(c.Offset),
-			Skew:       c.Skew,
-			ResidualNS: int64(c.Residual),
-			N:          c.N,
-		})
-	}
-	sort.Slice(man.Corrections, func(i, j int) bool {
-		return man.Corrections[i].Badge < man.Corrections[j].Badge
-	})
+	man := manifest{FramedBytes: d.EncodedBytes()}
 	err := atomicWrite(dir, manifestName, func(f *os.File) error {
 		return json.NewEncoder(f).Encode(man)
 	})
@@ -186,11 +160,9 @@ type SegmentStore struct {
 	dir     string
 	readers map[BadgeID]*segment.Reader
 
-	// Manifest facts (absent or unreadable manifest leaves the zero values:
-	// unrectified, no corrections, framed size unknown).
-	rectified   bool
+	// framedBytes comes from the manifest (0 when it is absent or
+	// unreadable: framed size unknown).
 	framedBytes int64
-	corrections map[BadgeID]timesync.Correction
 
 	// Fallback framed-size accounting when the manifest is missing: one
 	// streaming scan over every surviving record, memoized.
@@ -268,24 +240,12 @@ func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
 		return nil, rep, ErrNoData
 	}
 	// Parse the manifest tolerantly: an archive without one (older layout,
-	// or the sidecar was lost) still opens, just unrectified and with the
-	// framed size recomputed on demand.
+	// or the sidecar was lost) still opens, with the framed size recomputed
+	// on demand.
 	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
 		var man manifest
 		if json.Unmarshal(data, &man) == nil {
-			ss.rectified = man.Rectified
 			ss.framedBytes = man.FramedBytes
-			if len(man.Corrections) > 0 {
-				ss.corrections = make(map[BadgeID]timesync.Correction, len(man.Corrections))
-				for _, mc := range man.Corrections {
-					ss.corrections[mc.Badge] = timesync.Correction{
-						Offset:   time.Duration(mc.OffsetNS),
-						Skew:     mc.Skew,
-						Residual: time.Duration(mc.ResidualNS),
-						N:        mc.N,
-					}
-				}
-			}
 		}
 	}
 	return ss, rep, nil
@@ -326,23 +286,6 @@ func (ss *SegmentStore) View(id BadgeID) (View, bool) {
 		return nil, false
 	}
 	return rd, true
-}
-
-// Rectified reports whether the archived timestamps were already rewritten
-// to reference time before SaveSegments (recorded in the manifest).
-func (ss *SegmentStore) Rectified() bool { return ss.rectified }
-
-// Corrections returns the per-badge clock corrections recorded at save
-// time, nil when the manifest carried none.
-func (ss *SegmentStore) Corrections() map[BadgeID]timesync.Correction {
-	if ss.corrections == nil {
-		return nil
-	}
-	out := make(map[BadgeID]timesync.Correction, len(ss.corrections))
-	for id, c := range ss.corrections {
-		out[id] = c
-	}
-	return out
 }
 
 // EncodedBytes returns the dataset's framed-log size — the figure

@@ -31,25 +31,16 @@ const (
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
 // Last, Len) may run concurrently, and Append may interleave with them —
 // merges build new backing arrays, so previously returned views stay valid
-// snapshots. Rectify is the one in-place writer: it rewrites timestamps in
-// the backing array, so callers must not rectify while another goroutine
-// still uses a previously returned view. The analysis pipeline guarantees
-// this by rectifying exactly once before any concurrent reads begin.
+// snapshots. Stored records are never rewritten: clock rectification is a
+// read-time mapping (RectifyView).
 //
 // For live ingestion the series keeps a monotone append sequence number
-// (Seq) — the high-water mark incremental consumers diff against — and an
-// optional rectifier applied to each appended record's timestamp, so records
-// arriving after a dataset-wide Rectify land directly on reference time
-// instead of silently mixing clock domains.
+// (Seq) — the high-water mark incremental consumers diff against.
 type Series struct {
 	mu sync.RWMutex
 
 	// seq counts appends; it never decreases and is 0 for an empty series.
 	seq uint64
-	// rectifier, when set, maps each appended record's Local timestamp
-	// (e.g. to reference time via timesync.Correction.ToReference) before
-	// insertion. See SetRectifier.
-	rectifier func(time.Duration) time.Duration
 	// onAppend, when set (by Dataset.Series), publishes each append to the
 	// dataset's subscribers. Called outside the series lock.
 	onAppend func(record.Record, uint64)
@@ -80,14 +71,10 @@ type Series struct {
 	unsized int
 }
 
-// Append adds a record to the series, applying the installed rectifier (if
-// any) to its timestamp first and publishing the append to the owning
-// dataset's subscribers.
+// Append adds a record to the series and publishes the append to the
+// owning dataset's subscribers.
 func (s *Series) Append(r record.Record) {
 	s.mu.Lock()
-	if s.rectifier != nil {
-		r.Local = s.rectifier(r.Local)
-	}
 	s.seq++
 	seq := s.seq
 	s.appendLocked(r)
@@ -132,18 +119,6 @@ func (s *Series) Seq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seq
-}
-
-// SetRectifier installs fn as the timestamp rectifier applied to every
-// subsequent Append. After a dataset-wide rectification rewrote the stored
-// timestamps to reference time, installing the same correction here keeps
-// late-arriving records in the same clock domain — the incremental
-// counterpart of Series.Rectify, touching only new records. A nil fn removes
-// the rectifier.
-func (s *Series) SetRectifier(fn func(time.Duration) time.Duration) {
-	s.mu.Lock()
-	s.rectifier = fn
-	s.mu.Unlock()
 }
 
 // sealTailLocked sorts the tail (if needed) and turns it into the newest
@@ -424,28 +399,4 @@ func (s *Series) Last() (record.Record, bool) {
 		return record.Record{}, false
 	}
 	return all[len(all)-1], true
-}
-
-// Rectify applies fn to every timestamp, e.g. converting local badge time
-// to mission time after timesync estimation. The common monotonic
-// correction keeps the series sorted and costs one linear pass; a
-// non-monotonic fn triggers a stable re-sort. Rectify mutates the backing
-// array in place and drops the per-kind indexes, so it must not run
-// concurrently with readers holding views; use Dataset.RectifyOnce to
-// serialize dataset-wide rectification.
-func (s *Series) Rectify(fn func(time.Duration) time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs := s.materializeLocked()
-	s.kinds = nil
-	stillSorted := true
-	for i := range recs {
-		recs[i].Local = fn(recs[i].Local)
-		if i > 0 && recs[i].Local < recs[i-1].Local {
-			stillSorted = false
-		}
-	}
-	if !stillSorted {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Local < recs[j].Local })
-	}
 }

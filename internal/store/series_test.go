@@ -263,53 +263,6 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 	}
 }
 
-func TestSeriesRectifyInvalidatesKindIndex(t *testing.T) {
-	var s Series
-	for i := 0; i < 100; i++ {
-		k := record.KindAccel
-		if i%2 == 0 {
-			k = record.KindMic
-		}
-		s.Append(mkRec(time.Duration(i)*time.Second, k))
-	}
-	before := s.RangeKind(0, 10*time.Second, record.KindMic)
-	if len(before) != 5 {
-		t.Fatalf("pre-rectify mic records = %d", len(before))
-	}
-	s.Rectify(func(d time.Duration) time.Duration { return d + time.Hour })
-	if got := s.RangeKind(0, 10*time.Second, record.KindMic); len(got) != 0 {
-		t.Errorf("stale kind index: %d records still in old window", len(got))
-	}
-	after := s.RangeKind(time.Hour, time.Hour+10*time.Second, record.KindMic)
-	if len(after) != 5 {
-		t.Errorf("post-rectify mic records = %d, want 5", len(after))
-	}
-	for _, r := range after {
-		if r.Local < time.Hour {
-			t.Errorf("kind view has unrectified timestamp %v", r.Local)
-		}
-	}
-}
-
-func TestSeriesRectifyNonMonotonicResorts(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Append(mkRec(time.Duration(i)*time.Second, record.KindAccel))
-	}
-	// Reverse time: a pathological correction must still yield a sorted
-	// series.
-	s.Rectify(func(d time.Duration) time.Duration { return 100*time.Second - d })
-	all := s.All()
-	for i := 1; i < len(all); i++ {
-		if all[i].Local < all[i-1].Local {
-			t.Fatal("series unsorted after non-monotonic rectify")
-		}
-	}
-	if all[0].Local != 91*time.Second || all[9].Local != 100*time.Second {
-		t.Errorf("rectified bounds: %v .. %v", all[0].Local, all[9].Local)
-	}
-}
-
 func TestSeriesUnsizedAccounting(t *testing.T) {
 	var s Series
 	s.Append(mkRec(time.Second, record.KindAccel))

@@ -1,13 +1,13 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"icares/internal/record"
-	"icares/internal/timesync"
 )
 
 // viewerDataset builds a small two-badge dataset for the Viewer and
@@ -78,17 +78,13 @@ func TestDatasetViewDoesNotCreate(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip pins the save-time sidecar: rectification state and
-// corrections survive the archive round trip, and a missing or corrupt
-// manifest degrades to the unrectified zero values with the framed size
-// recomputed from the segments.
+// TestManifestRoundTrip pins the save-time sidecar: the framed size
+// survives the archive round trip, a manifest in the older layout (which
+// also recorded rectification state and corrections) still yields it, and
+// a missing or corrupt manifest degrades to the framed size recomputed
+// from the segments.
 func TestManifestRoundTrip(t *testing.T) {
 	d := viewerDataset()
-	want := map[BadgeID]timesync.Correction{
-		1: {Offset: 5 * time.Millisecond, Skew: 2e-5, Residual: 40 * time.Microsecond, N: 6},
-		2: {Offset: -3 * time.Millisecond, Skew: -1e-5, Residual: 55 * time.Microsecond, N: 4},
-	}
-	d.RectifyOnce(func() map[BadgeID]timesync.Correction { return want })
 	dir := t.TempDir()
 	if err := d.SaveSegments(dir); err != nil {
 		t.Fatal(err)
@@ -98,34 +94,33 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ss.Rectified() {
-		t.Error("Rectified() = false after rectified save")
-	}
-	got := ss.Corrections()
-	if len(got) != len(want) {
-		t.Fatalf("Corrections() has %d entries, want %d", len(got), len(want))
-	}
-	for id, c := range want {
-		if got[id] != c {
-			t.Errorf("correction badge %d = %+v, want %+v", id, got[id], c)
-		}
-	}
 	if ss.EncodedBytes() != d.EncodedBytes() {
 		t.Errorf("EncodedBytes() = %d, want framed size %d", ss.EncodedBytes(), d.EncodedBytes())
 	}
 	ss.Close()
 
-	// Lost sidecar: still opens, unrectified, framed size recomputed by
-	// streaming the surviving records — which equals the framed accounting.
+	// Older layout: the extra fields are ignored, the framed size is read.
+	old := fmt.Sprintf(`{"rectified":true,"framed_bytes":%d,"corrections":[{"badge":1,"offset_ns":5000000,"skew":2e-05,"residual_ns":40000,"n":6}]}`, d.EncodedBytes()+1)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ssOld, _, err := OpenSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ssOld.EncodedBytes(), d.EncodedBytes()+1; got != want {
+		t.Errorf("older-layout manifest: EncodedBytes() = %d, want the recorded %d", got, want)
+	}
+	ssOld.Close()
+
+	// Lost sidecar: still opens, framed size recomputed by streaming the
+	// surviving records — which equals the framed accounting.
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
 	ss2, _, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ss2.Rectified() || ss2.Corrections() != nil {
-		t.Errorf("manifestless archive: rectified=%v corrections=%v, want zero values", ss2.Rectified(), ss2.Corrections())
 	}
 	if ss2.EncodedBytes() != d.EncodedBytes() {
 		t.Errorf("manifestless EncodedBytes() = %d, want %d", ss2.EncodedBytes(), d.EncodedBytes())
@@ -141,7 +136,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss3.Close()
-	if ss3.Rectified() || ss3.Corrections() != nil {
-		t.Errorf("corrupt manifest: rectified=%v corrections=%v, want zero values", ss3.Rectified(), ss3.Corrections())
+	if ss3.EncodedBytes() != d.EncodedBytes() {
+		t.Errorf("corrupt manifest: EncodedBytes() = %d, want %d", ss3.EncodedBytes(), d.EncodedBytes())
 	}
 }

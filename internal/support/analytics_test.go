@@ -74,16 +74,15 @@ func TestAnalyticsMatchesBatchPipeline(t *testing.T) {
 		w, _ := assignment.TrueWearerOf(id, day)
 		return w
 	})
-	// Replay the raw dataset through the daemon BEFORE any batch analysis:
-	// rectification rewrites timestamps in place, and the live path must
-	// receive the records as the gateway would deliver them.
+	// Replay the raw dataset through the daemon, as the gateway would
+	// deliver it: local-clock records, rectified only as the pipelines read.
 	horizon := simtime.StartOfDay(res.Config.Scenario.Days + 1)
 	if n := r.Run(0, horizon); n != res.Dataset.TotalRecords() {
 		t.Fatalf("replayed %d of %d records", n, res.Dataset.TotalRecords())
 	}
 
 	batchSrc := analyticsSource(res)
-	batchSrc.Dataset = res.Dataset
+	batchSrc.Data = res.Dataset
 	batch, err := sociometry.NewPipeline(batchSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +155,7 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 		LastDay:  1,
 	}
 	d := NewDaemon()
-	a, err := NewAnalytics(src, sociometry.WithoutRectification())
+	a, err := NewAnalytics(src, sociometry.WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
