@@ -113,8 +113,8 @@ type Rect struct {
 // NewRect returns the axis-aligned rectangle spanned by any two corners.
 func NewRect(a, b Point) Rect {
 	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
+		Min: Point{min(a.X, b.X), min(a.Y, b.Y)},
+		Max: Point{max(a.X, b.X), max(a.Y, b.Y)},
 	}
 }
 

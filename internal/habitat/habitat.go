@@ -119,12 +119,13 @@ type BeaconSite struct {
 
 // Habitat is a complete floor plan.
 type Habitat struct {
-	rooms   []Room
-	byID    map[RoomID]int
-	walls   []Wall
-	doors   []Door
-	beacons []BeaconSite
-	bounds  geometry.Rect
+	rooms     []Room
+	byID      map[RoomID]int
+	walls     []Wall
+	wallBoxes []geometry.Rect // wallBoxes[i] is walls[i]'s box, padded by wallBoxPad
+	doors     []Door
+	beacons   []BeaconSite
+	bounds    geometry.Rect
 }
 
 // ErrUnknownRoom is returned for lookups of rooms not in the habitat.
@@ -234,18 +235,38 @@ func (h *Habitat) Path(from, to RoomID) ([]geometry.Point, error) {
 	return []geometry.Point{d1, mid, d2}, nil
 }
 
+// wallBoxPad pads every wall's bounding box. It must exceed geometry's
+// 1e-12 orientation tolerance plus float rounding at habitat scale, so no
+// wall that Segment.Intersects would accept is ever skipped.
+const wallBoxPad = 1e-9
+
 // WallLossDB returns the total wall attenuation along the straight line from
 // p to q, summing the material loss of every crossed wall segment. Doorway
 // gaps contribute nothing, so line-of-sight through an open door is free.
+//
+// Only walls whose padded bounding box overlaps the ray's box are tested
+// with Segment.Intersects. The prefilter is exact: a proper crossing point
+// lies in both boxes, and every touching case Intersects accepts is an
+// onSegment test, itself a box test padded by 1e-12 (< wallBoxPad). A
+// skipped wall therefore adds 0, the same walls contribute as without the
+// filter, and because every material loss is a whole number of dB the sum
+// is exact in any order: the result is bit-identical to testing every wall.
 func (h *Habitat) WallLossDB(p, q geometry.Point) float64 {
 	ray := geometry.Segment{A: p, B: q}
+	box := geometry.NewRect(p, q)
 	var loss float64
-	for _, w := range h.walls {
-		if ray.Intersects(w.Seg) {
-			loss += w.Material.AttenuationDB()
+	for i, wb := range h.wallBoxes {
+		if boxesOverlap(box, wb) && ray.Intersects(h.walls[i].Seg) {
+			loss += h.walls[i].Material.AttenuationDB()
 		}
 	}
 	return loss
+}
+
+// boxesOverlap reports whether closed boxes a and b share a point.
+func boxesOverlap(a, b geometry.Rect) bool {
+	return a.Min.X <= b.Max.X && b.Min.X <= a.Max.X &&
+		a.Min.Y <= b.Max.Y && b.Min.Y <= a.Max.Y
 }
 
 // RandomPointIn returns a uniformly random point strictly inside the room,

@@ -74,7 +74,8 @@ func Standard() *Habitat {
 }
 
 // buildWalls creates metal wall segments for every room boundary, leaving
-// DoorWidth gaps at each door.
+// DoorWidth gaps at each door, and each wall's padded bounding box for
+// WallLossDB's prefilter.
 func (h *Habitat) buildWalls() {
 	for _, r := range h.rooms {
 		for _, e := range r.Bounds.Edges() {
@@ -90,6 +91,10 @@ func (h *Habitat) buildWalls() {
 			}
 			for _, seg := range splitAroundGaps(e, gaps, DoorWidth) {
 				h.walls = append(h.walls, Wall{Seg: seg, Material: Metal})
+				box := geometry.NewRect(seg.A, seg.B)
+				box.Min = box.Min.Sub(geometry.Point{X: wallBoxPad, Y: wallBoxPad})
+				box.Max = box.Max.Add(geometry.Point{X: wallBoxPad, Y: wallBoxPad})
+				h.wallBoxes = append(h.wallBoxes, box)
 			}
 		}
 	}

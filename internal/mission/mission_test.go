@@ -1,6 +1,11 @@
 package mission
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -311,5 +316,49 @@ func TestEventsSortedAndComplete(t *testing.T) {
 		if evs[i].At < evs[i-1].At {
 			t.Fatal("events not sorted")
 		}
+	}
+}
+
+// goldenDatasetSHA256 is the SHA-256 of the seed-42, 2-day mission's saved
+// dataset (see TestRunGoldenBytes). Simulator changes that claim
+// byte-identical output must leave it unchanged; a change that alters
+// records on purpose must say so and update it.
+const goldenDatasetSHA256 = "01f8219c22968464ce6562783544ccaafc6638113edfb74710aced14c1a78984"
+
+// TestRunGoldenBytes pins the simulator's output bytes, not just their
+// count: every badge's saved log file, in badge order, hashed together with
+// its path relative to the dataset directory.
+func TestRunGoldenBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission run in -short mode")
+	}
+	sc := DefaultScenario(42)
+	sc.Days = 2
+	res, err := Run(Config{Seed: 42, Scenario: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := res.Dataset.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(res.Dataset.Badges()) {
+		t.Fatalf("%d files for %d badges", len(entries), len(res.Dataset.Badges()))
+	}
+	h := sha256.New()
+	for _, e := range entries { // ReadDir sorts by name: badge-NNN.icr is badge order
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", e.Name(), len(b))
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDatasetSHA256 {
+		t.Errorf("dataset SHA-256 = %s, want %s", got, goldenDatasetSHA256)
 	}
 }

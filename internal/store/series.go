@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,7 +131,7 @@ func (s *Series) sealTailLocked() {
 	}
 	run := s.tail
 	if !s.tailSorted {
-		sort.SliceStable(run, func(i, j int) bool { return run[i].Local < run[j].Local })
+		slices.SortStableFunc(run, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
 	}
 	s.runs = append(s.runs, run)
 	s.tail = nil
