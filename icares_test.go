@@ -211,7 +211,7 @@ func TestSharedDatasetRectifiedOnceAcrossViews(t *testing.T) {
 	type bounds struct{ first, last time.Duration }
 	snap := make(map[store.BadgeID]bounds)
 	for _, id := range ds.Badges() {
-		f, _ := ds.Series(id).First()
+		f := ds.Series(id).All()[0]
 		l, _ := ds.Series(id).Last()
 		snap[id] = bounds{f.Local, l.Local}
 	}
@@ -244,7 +244,7 @@ func TestSharedDatasetRectifiedOnceAcrossViews(t *testing.T) {
 	}
 	// ...and the dataset's timestamps are untouched.
 	for id, want := range snap {
-		f, _ := ds.Series(id).First()
+		f := ds.Series(id).All()[0]
 		l, _ := ds.Series(id).Last()
 		if f.Local != want.first || l.Local != want.last {
 			t.Errorf("badge %d timestamps moved: [%v,%v] -> [%v,%v] (dataset rewritten)",

@@ -43,16 +43,10 @@ type Sample struct {
 	RMS float64
 }
 
-// Classify windows the accel records of one badge and classifies each
-// window. Records must be time-ordered.
-func Classify(recs []record.Record, cfg Config) []Sample {
-	c := record.NewCursor(recs)
-	return ClassifyCursor(&c, cfg)
-}
-
-// ClassifyCursor is Classify over a record cursor: one streaming pass
-// holding only the current window's samples, so out-of-core sources never
-// materialize the accel stream.
+// ClassifyCursor windows the time-ordered accel records of one badge and
+// classifies each window, in one streaming pass holding only the current
+// window's samples, so out-of-core sources never materialize the accel
+// stream.
 func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
 	if cfg.Window <= 0 {
 		cfg = DefaultConfig()
@@ -177,16 +171,4 @@ func MeanRMSByDay(samples []Sample) map[int]float64 {
 		out[d] = sum / float64(counts[d])
 	}
 	return out
-}
-
-// DailyWalkingFraction computes the Fig. 4 series for one astronaut: the
-// walking fraction of worn windows per mission day.
-func DailyWalkingFraction(recs []record.Record, worn record.RangeSet, cfg Config) map[int]float64 {
-	return WalkingFractionByDay(FilterWorn(Classify(recs, cfg), worn))
-}
-
-// MeanDailyRMS computes the average movement intensity per day, the paper's
-// "average daily acceleration" companion metric.
-func MeanDailyRMS(recs []record.Record, worn record.RangeSet, cfg Config) map[int]float64 {
-	return MeanRMSByDay(FilterWorn(Classify(recs, cfg), worn))
 }

@@ -11,6 +11,12 @@ import (
 
 // synthAccel produces accel bursts (3 samples per event, like the badge)
 // with the given per-axis sigma.
+// classify runs the window classifier over a record slice.
+func classify(recs []record.Record, cfg Config) []Sample {
+	c := record.NewCursor(recs)
+	return ClassifyCursor(&c, cfg)
+}
+
 func synthAccel(rng *stats.RNG, from, dur, every time.Duration, sigma float64) []record.Record {
 	var out []record.Record
 	for at := from; at < from+dur; at += every {
@@ -29,8 +35,8 @@ func synthAccel(rng *stats.RNG, from, dur, every time.Duration, sigma float64) [
 func TestClassifyWalkingVsIdle(t *testing.T) {
 	rng := stats.NewRNG(1)
 	cfg := DefaultConfig()
-	walk := Classify(synthAccel(rng, 0, 10*time.Minute, 10*time.Second, 260), cfg)
-	idle := Classify(synthAccel(rng, 0, 10*time.Minute, 10*time.Second, 30), cfg)
+	walk := classify(synthAccel(rng, 0, 10*time.Minute, 10*time.Second, 260), cfg)
+	idle := classify(synthAccel(rng, 0, 10*time.Minute, 10*time.Second, 30), cfg)
 	if f := WalkingFraction(walk); f < 0.9 {
 		t.Errorf("walking fraction of walk data = %v", f)
 	}
@@ -43,7 +49,7 @@ func TestClassifyMixedStream(t *testing.T) {
 	rng := stats.NewRNG(2)
 	recs := synthAccel(rng, 0, 5*time.Minute, 10*time.Second, 260)
 	recs = append(recs, synthAccel(rng, 5*time.Minute, 5*time.Minute, 10*time.Second, 25)...)
-	samples := Classify(recs, DefaultConfig())
+	samples := classify(recs, DefaultConfig())
 	if len(samples) < 18 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -72,7 +78,7 @@ func TestClassifySkipsSparseWindows(t *testing.T) {
 	recs := []record.Record{
 		{Local: 0, Kind: record.KindAccel, AX: 500, AY: 0, AZ: 1000},
 	}
-	if got := Classify(recs, DefaultConfig()); len(got) != 0 {
+	if got := classify(recs, DefaultConfig()); len(got) != 0 {
 		t.Errorf("single-sample window classified: %v", got)
 	}
 }
@@ -81,7 +87,7 @@ func TestClassifyIgnoresOtherKinds(t *testing.T) {
 	rng := stats.NewRNG(3)
 	recs := synthAccel(rng, 0, time.Minute, 10*time.Second, 30)
 	recs = append(recs, record.Record{Local: 5 * time.Second, Kind: record.KindMic, LoudnessDB: 70})
-	if got := Classify(recs, DefaultConfig()); len(got) == 0 {
+	if got := classify(recs, DefaultConfig()); len(got) == 0 {
 		t.Error("no samples")
 	}
 }
@@ -109,7 +115,7 @@ func TestDailyWalkingFraction(t *testing.T) {
 	recs = append(recs, synthAccel(rng, day2, time.Hour, 10*time.Second, 260)...)
 	recs = append(recs, synthAccel(rng, day3, time.Hour, 10*time.Second, 25)...)
 	worn := record.RangeSet{{From: day2, To: day3 + 2*time.Hour}}
-	got := DailyWalkingFraction(recs, worn, DefaultConfig())
+	got := WalkingFractionByDay(FilterWorn(classify(recs, DefaultConfig()), worn))
 	if got[2] < 0.9 {
 		t.Errorf("day 2 fraction = %v", got[2])
 	}
@@ -123,7 +129,7 @@ func TestMeanDailyRMS(t *testing.T) {
 	day2 := simtime.StartOfDay(2)
 	recs := synthAccel(rng, day2, time.Hour, 10*time.Second, 200)
 	worn := record.RangeSet{{From: day2, To: day2 + 2*time.Hour}}
-	got := MeanDailyRMS(recs, worn, DefaultConfig())
+	got := MeanRMSByDay(FilterWorn(classify(recs, DefaultConfig()), worn))
 	if got[2] <= 0 {
 		t.Errorf("day 2 RMS = %v", got[2])
 	}

@@ -138,9 +138,6 @@ func New(id uint16, osc *simtime.Oscillator, cfg Sampling, series *store.Series,
 // ID returns the badge identity.
 func (b *Badge) ID() uint16 { return b.id }
 
-// Battery returns the current state of charge in percent.
-func (b *Badge) Battery() float64 { return b.battery }
-
 // Failed reports whether the badge is dead (fault injection or flat
 // battery).
 func (b *Badge) Failed() bool { return b.failed }
@@ -163,15 +160,11 @@ func (b *Badge) Worn() bool { return b.worn }
 // Heading returns the wearer's last heading (radians).
 func (b *Badge) Heading() float64 { return b.heading }
 
-// Series exposes the badge's record log.
-func (b *Badge) Series() *store.Series { return b.series }
-
 // local converts true time to this badge's clock reading.
 func (b *Badge) local(now time.Duration) time.Duration {
 	if b.osc == nil {
 		return now
 	}
-	b.osc.Advance(now)
 	return b.osc.Read(now)
 }
 

@@ -42,7 +42,7 @@ func TestBadgeRecordsWearTransitions(t *testing.T) {
 	in := wornInput(pos)
 	in.Worn = false
 	tickFor(b, end, time.Minute, in, nil)
-	wears := b.Series().Kind(record.KindWear)
+	wears := b.series.Kind(record.KindWear)
 	if len(wears) != 2 {
 		t.Fatalf("wear records = %d, want 2", len(wears))
 	}
@@ -58,7 +58,7 @@ func TestAccelEnergyByMotionState(t *testing.T) {
 		in.Worn = worn
 		in.WearerWalking = walking
 		tickFor(b, 0, time.Hour, in, nil)
-		accels := b.Series().Kind(record.KindAccel)
+		accels := b.series.Kind(record.KindAccel)
 		if len(accels) < 100 {
 			t.Fatalf("accel records = %d", len(accels))
 		}
@@ -86,7 +86,7 @@ func TestMicFrameCadenceAndFeatures(t *testing.T) {
 	in.SpeechLoudDB = 68
 	in.SpeechF0 = 210
 	tickFor(b, 0, 10*time.Minute, in, nil)
-	mics := b.Series().Kind(record.KindMic)
+	mics := b.series.Kind(record.KindMic)
 	// 10 min / 15 s = 40 windows; the last may still be accumulating.
 	if len(mics) < 38 || len(mics) > 40 {
 		t.Fatalf("mic frames = %d, want ~39", len(mics))
@@ -117,7 +117,7 @@ func TestMicSilentFrameHasAmbientOnly(t *testing.T) {
 	b := newBadge(1, 4)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, 5*time.Minute, in, nil)
-	for _, m := range b.Series().Kind(record.KindMic) {
+	for _, m := range b.series.Kind(record.KindMic) {
 		if m.SpeechDetected {
 			t.Fatal("speech detected in silence")
 		}
@@ -136,7 +136,7 @@ func TestMicQuietSpeechBelowVADIgnored(t *testing.T) {
 	in.SpeechOK = true
 	in.SpeechLoudDB = SpeechThresholdDB - 5
 	tickFor(b, 0, 5*time.Minute, in, nil)
-	for _, m := range b.Series().Kind(record.KindMic) {
+	for _, m := range b.series.Kind(record.KindMic) {
 		if m.SpeechDetected {
 			t.Fatal("sub-threshold speech detected")
 		}
@@ -160,7 +160,7 @@ func TestBeaconScansRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	tickFor(b, 0, 10*time.Minute, wornInput(kitchen), fleet)
-	obs := b.Series().Kind(record.KindBeacon)
+	obs := b.series.Kind(record.KindBeacon)
 	if len(obs) < 20 {
 		t.Fatalf("beacon obs = %d", len(obs))
 	}
@@ -181,15 +181,15 @@ func TestBatteryDrainsAndCharges(t *testing.T) {
 	b := newBadge(1, 8)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, 10*time.Hour, in, nil)
-	afterDuty := b.Battery()
+	afterDuty := b.battery
 	if afterDuty >= 100 || afterDuty < 100-DrainPerHour*10-1 {
 		t.Errorf("battery after 10 h = %v", afterDuty)
 	}
 	in.Worn = false
 	in.Docked = true
 	tickFor(b, 10*time.Hour, 8*time.Hour, in, nil)
-	if b.Battery() < 99 {
-		t.Errorf("battery after overnight charge = %v", b.Battery())
+	if b.battery < 99 {
+		t.Errorf("battery after overnight charge = %v", b.battery)
 	}
 }
 
@@ -201,9 +201,9 @@ func TestBatteryDeathKillsBadge(t *testing.T) {
 	if !b.Failed() {
 		t.Fatal("badge survived 30 h unpowered")
 	}
-	countBefore := b.Series().Len()
+	countBefore := b.series.Len()
 	b.Tick(31*time.Hour, in, nil)
-	if b.Series().Len() != countBefore {
+	if b.series.Len() != countBefore {
 		t.Error("failed badge kept recording")
 	}
 	if err := b.RecordSync(31*time.Hour, 31*time.Hour); !errors.Is(err, ErrFailed) {
@@ -216,7 +216,7 @@ func TestLocalClockSkewAppearsInRecords(t *testing.T) {
 	b := New(1, osc, DefaultSampling(), &store.Series{}, stats.NewRNG(10))
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	b.Tick(time.Hour, in, nil)
-	recs := b.Series().All()
+	recs := b.series.All()
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -234,7 +234,7 @@ func TestRecordSync(t *testing.T) {
 	if err := b.RecordSync(time.Hour, time.Hour-time.Second); err != nil {
 		t.Fatal(err)
 	}
-	syncs := b.Series().Kind(record.KindSync)
+	syncs := b.series.Kind(record.KindSync)
 	if len(syncs) != 1 {
 		t.Fatalf("sync records = %d", len(syncs))
 	}
@@ -265,8 +265,8 @@ func TestNetworkNeighborObservations(t *testing.T) {
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	na := a.Series().Kind(record.KindNeighbor)
-	nb := b.Series().Kind(record.KindNeighbor)
+	na := a.series.Kind(record.KindNeighbor)
+	nb := b.series.Kind(record.KindNeighbor)
 	if len(na) < 10 || len(nb) < 10 {
 		t.Fatalf("neighbor obs = %d/%d", len(na), len(nb))
 	}
@@ -304,32 +304,32 @@ func TestNetworkIRRequiresFacingAndWear(t *testing.T) {
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindIR)); got < 5 {
+	if got := len(a.series.Kind(record.KindIR)); got < 5 {
 		t.Fatalf("face-to-face IR contacts = %d", got)
 	}
 
 	// Turn B away: no further contacts.
-	before := len(a.Series().Kind(record.KindIR))
+	before := len(a.series.Kind(record.KindIR))
 	inB.Heading = 0
 	for at := 5 * time.Minute; at <= 10*time.Minute; at += 5 * time.Second {
 		a.Tick(at, inA, nil)
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindIR)); got != before {
+	if got := len(a.series.Kind(record.KindIR)); got != before {
 		t.Errorf("IR contacts while facing away: %d new", got-before)
 	}
 
 	// Unworn badges never register IR.
 	inB.Heading = math.Pi
 	inA.Worn = false
-	before = len(b.Series().Kind(record.KindIR))
+	before = len(b.series.Kind(record.KindIR))
 	for at := 10 * time.Minute; at <= 15*time.Minute; at += 5 * time.Second {
 		a.Tick(at, inA, nil)
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(b.Series().Kind(record.KindIR)); got != before {
+	if got := len(b.series.Kind(record.KindIR)); got != before {
 		t.Errorf("IR contacts with unworn badge: %d new", got-before)
 	}
 }
@@ -354,7 +354,7 @@ func TestNetworkSkipsFailedBadges(t *testing.T) {
 		a.Tick(at, in, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindNeighbor)); got != 0 {
+	if got := len(a.series.Kind(record.KindNeighbor)); got != 0 {
 		t.Errorf("heard %d announcements from a failed badge", got)
 	}
 }
@@ -363,7 +363,7 @@ func TestEnvAndBatteryRecords(t *testing.T) {
 	b := newBadge(1, 21)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, time.Hour, in, nil)
-	envs := b.Series().Kind(record.KindEnv)
+	envs := b.series.Kind(record.KindEnv)
 	if len(envs) < 25 || len(envs) > 35 {
 		t.Errorf("env records in 1 h = %d, want ~30", len(envs))
 	}
@@ -372,7 +372,7 @@ func TestEnvAndBatteryRecords(t *testing.T) {
 			t.Errorf("temp = %v", e.TempC)
 		}
 	}
-	bats := b.Series().Kind(record.KindBattery)
+	bats := b.series.Kind(record.KindBattery)
 	if len(bats) < 5 || len(bats) > 7 {
 		t.Errorf("battery records in 1 h = %d, want ~6", len(bats))
 	}

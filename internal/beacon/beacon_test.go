@@ -24,6 +24,16 @@ func newFleet(t *testing.T, seed uint64) (*Fleet, *habitat.Habitat) {
 	return f, hab
 }
 
+// siteOf looks a deployed beacon site up by ID.
+func siteOf(f *Fleet, id int) (habitat.BeaconSite, bool) {
+	for _, s := range f.sites {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return habitat.BeaconSite{}, false
+}
+
 func TestNewFleetErrors(t *testing.T) {
 	hab := habitat.Standard()
 	ch, err := radio.NewChannel(hab, radio.BLE24, stats.NewRNG(1))
@@ -40,13 +50,13 @@ func TestNewFleetErrors(t *testing.T) {
 
 func TestFleetDeploysAllSites(t *testing.T) {
 	f, _ := newFleet(t, 2)
-	if got := len(f.Sites()); got != habitat.StandardBeaconCount {
+	if got := len(f.sites); got != habitat.StandardBeaconCount {
 		t.Errorf("sites = %d", got)
 	}
-	if _, ok := f.Site(1); !ok {
+	if _, ok := siteOf(f, 1); !ok {
 		t.Error("site 1 missing")
 	}
-	if _, ok := f.Site(999); ok {
+	if _, ok := siteOf(f, 999); ok {
 		t.Error("phantom site found")
 	}
 }
@@ -62,7 +72,7 @@ func TestScanSeesOwnRoomOnly(t *testing.T) {
 		t.Fatal("no beacons heard at kitchen center")
 	}
 	for _, o := range obs {
-		s, ok := f.Site(o.BeaconID)
+		s, ok := siteOf(f, o.BeaconID)
 		if !ok {
 			t.Fatalf("unknown beacon %d", o.BeaconID)
 		}
@@ -86,7 +96,7 @@ func TestScanNearDoorCanBleed(t *testing.T) {
 	bleed := false
 	for i := 0; i < 300 && !bleed; i++ {
 		for _, o := range f.Scan(pos) {
-			s, _ := f.Site(o.BeaconID)
+			s, _ := siteOf(f, o.BeaconID)
 			if s.Room == habitat.Atrium {
 				bleed = true
 			}
@@ -107,7 +117,7 @@ func TestScanDeepInRoomNeverBleeds(t *testing.T) {
 	pos := room.Bounds.Inset(0.5).Min
 	for i := 0; i < 200; i++ {
 		for _, o := range f.Scan(pos) {
-			s, _ := f.Site(o.BeaconID)
+			s, _ := siteOf(f, o.BeaconID)
 			if s.Room != habitat.Bedroom {
 				t.Fatalf("beacon %d from %v heard deep inside bedroom", o.BeaconID, s.Room)
 			}
@@ -124,7 +134,7 @@ func TestScanOutsideHabitat(t *testing.T) {
 
 func TestScanStrongestBeaconIsNearest(t *testing.T) {
 	f, hab := newFleet(t, 7)
-	sites := f.Sites()
+	sites := f.sites
 	// Stand exactly at a beacon inside the office.
 	var target habitat.BeaconSite
 	for _, s := range sites {

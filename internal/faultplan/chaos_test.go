@@ -197,8 +197,8 @@ func TestChaosMission(t *testing.T) {
 			}
 		}
 	}
-	if hb, hr := gw.Held(); hb != 0 || hr != 0 {
-		t.Errorf("held state after full drain: %d batches %d records, want 0", hb, hr)
+	if gs := gw.StatsSnapshot(); gs.HeldBatches != 0 || gs.HeldRecords != 0 {
+		t.Errorf("held state after full drain: %d batches %d records, want 0", gs.HeldBatches, gs.HeldRecords)
 	}
 
 	// The plan must actually have engaged: deliveries dropped in fault
@@ -216,7 +216,7 @@ func TestChaosMission(t *testing.T) {
 	if corrupted == 0 {
 		t.Error("corruption windows never touched a frame")
 	}
-	if _, dups := gw.Stats(); dups == 0 {
+	if gw.StatsSnapshot().Duplicates == 0 {
 		t.Error("no duplicates despite lossy retransmission")
 	}
 

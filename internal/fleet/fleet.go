@@ -669,18 +669,6 @@ func (f *Fleet) HabitatTelemetry(id string) (*telemetry.Registry, error) {
 	return r.eng.reg, nil
 }
 
-// Events reads the habitat's flight recorder. Deliberately NOT routed
-// through the worker: the journal has its own lock, so the black box of a
-// wedged or quarantined habitat stays readable — that is the point of a
-// flight recorder.
-func (f *Fleet) Events(id string, q telemetry.EventQuery) ([]telemetry.Event, error) {
-	j, err := f.HabitatJournal(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.Select(q), nil
-}
-
 // HabitatJournal returns the habitat's flight recorder. Like Events, it
 // bypasses the worker so the black box stays readable after a failure.
 func (f *Fleet) HabitatJournal(id string) (*telemetry.Journal, error) {
@@ -708,10 +696,6 @@ func (f *Fleet) FleetEvents(q telemetry.EventQuery) []telemetry.Event {
 	}
 	return merged
 }
-
-// Journal returns the fleet-plane flight recorder (HTTP middleware
-// events; habitat journals live with their engines).
-func (f *Fleet) Journal() *telemetry.Journal { return f.journal }
 
 // HabitatHealth is one habitat's row in the /healthz verdict.
 type HabitatHealth struct {

@@ -300,7 +300,7 @@ func TestErrorPathInstrumentation(t *testing.T) {
 
 	// Each 5xx landed a fleet-journal http-error event with the request
 	// ID the client saw.
-	events := f.Journal().Select(telemetry.EventQuery{Kind: "http-error"})
+	events := f.journal.Select(telemetry.EventQuery{Kind: "http-error"})
 	byRID := map[string]telemetry.Event{}
 	for _, e := range events {
 		for _, fd := range e.Fields {

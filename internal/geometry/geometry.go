@@ -27,9 +27,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product of p and q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product of p and q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
@@ -60,12 +57,6 @@ func (p Point) Unit() Point {
 type Segment struct {
 	A, B Point
 }
-
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 const eps = 1e-12
 

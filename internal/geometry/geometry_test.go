@@ -21,9 +21,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 1 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := p.Cross(q); got != -7 {
 		t.Errorf("Cross = %v", got)
 	}
@@ -189,7 +186,7 @@ func TestRectEdges(t *testing.T) {
 	}
 	var perim float64
 	for _, e := range edges {
-		perim += e.Length()
+		perim += e.A.Dist(e.B)
 	}
 	if math.Abs(perim-6) > 1e-12 {
 		t.Errorf("perimeter = %v, want 6", perim)

@@ -131,13 +131,6 @@ type Habitat struct {
 // ErrUnknownRoom is returned for lookups of rooms not in the habitat.
 var ErrUnknownRoom = errors.New("habitat: unknown room")
 
-// Rooms returns the rooms in the habitat (copy).
-func (h *Habitat) Rooms() []Room {
-	out := make([]Room, len(h.rooms))
-	copy(out, h.rooms)
-	return out
-}
-
 // RoomIDs returns all room IDs in declaration order.
 func (h *Habitat) RoomIDs() []RoomID {
 	out := make([]RoomID, 0, len(h.rooms))
@@ -201,12 +194,6 @@ func (h *Habitat) DoorBetween(a, b RoomID) (geometry.Point, bool) {
 		}
 	}
 	return geometry.Point{}, false
-}
-
-// Adjacent reports whether rooms a and b share a door.
-func (h *Habitat) Adjacent(a, b RoomID) bool {
-	_, ok := h.DoorBetween(a, b)
-	return ok
 }
 
 // Path returns movement waypoints from a point in room `from` to a point in

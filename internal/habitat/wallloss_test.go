@@ -57,7 +57,7 @@ func adversarialPoints(h *Habitat) (pts, anchors []geometry.Point) {
 		u := b.Sub(a).Unit()
 		n := geometry.Point{X: -u.Y, Y: u.X}
 		anchors = append(anchors, a, b)
-		pts = append(pts, a, b, w.Seg.Midpoint(),
+		pts = append(pts, a, b, a.Lerp(b, 0.5),
 			a.Sub(u.Scale(0.5)), b.Add(u.Scale(0.5)), b.Add(u.Scale(2)))
 		for _, end := range []geometry.Point{a, b} {
 			for _, d := range []geometry.Point{n, u} {
@@ -107,7 +107,7 @@ func TestWallLossPrefilterExact(t *testing.T) {
 				u := b.Sub(a).Unit()
 				rays = append(rays,
 					geometry.Segment{A: a, B: b},                                   // the wall itself
-					geometry.Segment{A: a.Sub(u.Scale(0.5)), B: w.Seg.Midpoint()},  // collinear, overlapping
+					geometry.Segment{A: a.Sub(u.Scale(0.5)), B: a.Lerp(b, 0.5)},    // collinear, overlapping
 					geometry.Segment{A: a.Sub(u), B: b.Add(u)},                     // collinear, covering
 					geometry.Segment{A: b.Add(u.Scale(0.5)), B: b.Add(u.Scale(2))}, // collinear, disjoint
 				)

@@ -63,7 +63,8 @@ func BenchmarkTrack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fixes := l.Track(recs, 15*time.Second)
+		c := record.NewCursor(recs)
+		fixes := l.TrackCursor(&c, 15*time.Second)
 		if len(fixes) == 0 {
 			b.Fatal("no fixes")
 		}

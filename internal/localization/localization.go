@@ -179,17 +179,10 @@ func (l *Locator) Locate(obs []Obs) (Fix, error) {
 	return Fix{Pos: pos, Room: room, Beacons: len(ids)}, nil
 }
 
-// Track groups a badge's beacon records into windows and locates each.
-// Records must be time-ordered (store.Series provides this). Windows with
-// no observations yield no fix.
-func (l *Locator) Track(recs []record.Record, window time.Duration) []Fix {
-	c := record.NewCursor(recs)
-	return l.TrackCursor(&c, window)
-}
-
-// TrackCursor is Track over a record cursor: one streaming pass holding only
-// the current window's observations, so out-of-core sources never
-// materialize the beacon stream.
+// TrackCursor groups a badge's time-ordered beacon records into windows
+// and locates each; windows with no observations yield no fix. It is one
+// streaming pass holding only the current window's observations, so
+// out-of-core sources never materialize the beacon stream.
 func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
 	if window <= 0 {
 		window = 15 * time.Second

@@ -178,7 +178,8 @@ func TestTrackWindowsRecords(t *testing.T) {
 			PeerID: uint16(officeBeacon), RSSI: -55,
 		})
 	}
-	fixes := l.Track(recs, 15*time.Second)
+	c := record.NewCursor(recs)
+	fixes := l.TrackCursor(&c, 15*time.Second)
 	if len(fixes) != 16 {
 		t.Fatalf("fixes = %d, want 16", len(fixes))
 	}

@@ -237,7 +237,9 @@ func TestRunSmallMission(t *testing.T) {
 	}
 	// All six personal badges plus the reference must have data.
 	for id := BadgeA; id <= ReferenceBadge; id++ {
-		if !ds.Has(store.BadgeID(id)) {
+		if v, ok := ds.View(store.BadgeID(id)); !ok {
+			t.Errorf("badge %d has no data", id)
+		} else if _, ok := v.Last(); !ok {
 			t.Errorf("badge %d has no data", id)
 		}
 	}

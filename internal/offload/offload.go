@@ -256,31 +256,6 @@ func (g *Gateway) StatsSnapshot() GatewayStats {
 	}
 }
 
-// Stats returns receive counters.
-//
-// Deprecated: use StatsSnapshot, which additionally guarantees consistency
-// with Refused and Held.
-func (g *Gateway) Stats() (batches, duplicates int) {
-	s := g.StatsSnapshot()
-	return s.Batches, s.Duplicates
-}
-
-// Refused returns how many out-of-order batches were turned away at the
-// held bound.
-//
-// Deprecated: use StatsSnapshot.
-func (g *Gateway) Refused() int { return g.StatsSnapshot().Refused }
-
-// Held returns the buffered out-of-order state across all badges. With a
-// single well-behaved uploader, held stays within the uploader's
-// MaxPending window and drains to zero once gaps fill.
-//
-// Deprecated: use StatsSnapshot.
-func (g *Gateway) Held() (batches, records int) {
-	s := g.StatsSnapshot()
-	return s.HeldBatches, s.HeldRecords
-}
-
 // Snapshot is the durable part of a gateway's state: the per-badge
 // contiguous high-water marks, which advance atomically with sink
 // forwarding (a write-ahead watermark in a real deployment). Held
@@ -418,12 +393,6 @@ func (u *Uploader) Enqueue(r record.Record) {
 	u.mu.Unlock()
 }
 
-// Buffered returns how many records await batching.
-func (u *Uploader) Buffered() int { return u.StatsSnapshot().Buffered }
-
-// Pending returns how many batches await acknowledgement.
-func (u *Uploader) Pending() int { return u.StatsSnapshot().Pending }
-
 // StatsSnapshot returns every uploader counter from a single instant.
 func (u *Uploader) StatsSnapshot() UploaderStats {
 	u.mu.Lock()
@@ -438,20 +407,6 @@ func (u *Uploader) StatsSnapshot() UploaderStats {
 		BackoffUntil: u.backoffUntil,
 	}
 }
-
-// Stats returns send counters.
-//
-// Deprecated: use StatsSnapshot, which additionally guarantees consistency
-// with Skipped, Buffered, and Pending.
-func (u *Uploader) Stats() (sent, retransmits int) {
-	s := u.StatsSnapshot()
-	return s.Sent, s.Retransmits
-}
-
-// Skipped returns how many FlushAt calls backoff suppressed.
-//
-// Deprecated: use StatsSnapshot.
-func (u *Uploader) Skipped() int { return u.StatsSnapshot().Skipped }
 
 // FlushAt is TryFlush with capped exponential backoff on the caller's
 // clock: after a round in which every delivery attempt failed, subsequent

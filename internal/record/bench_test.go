@@ -65,7 +65,7 @@ func BenchmarkLogWriterThroughput(b *testing.B) {
 	if err := lw.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(lw.BytesWritten() / int64(b.N))
+	b.SetBytes(int64(buf.Len()) / int64(b.N))
 }
 
 func BenchmarkRangeSetNormalize(b *testing.B) {

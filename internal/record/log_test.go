@@ -2,9 +2,26 @@ package record
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"time"
 )
+
+// readAll drains a log reader into a slice, stopping at the first error.
+func readAll(lr *LogReader) ([]Record, error) {
+	var out []Record
+	for {
+		rec, err := lr.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
 
 // writeLog returns the encoded log of recs for badge id.
 func writeLog(t *testing.T, id uint16, recs []Record) []byte {
@@ -31,7 +48,7 @@ func readLog(t *testing.T, raw []byte) (*LogReader, []Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,16 +128,10 @@ func (s RangeSet) Intersect(o RangeSet) RangeSet {
 	return out
 }
 
-// WornRanges extracts the periods a badge was worn from its KindWear
-// transition records. An interval still open at the end is closed at
-// horizon (pass the last record timestamp or the mission end).
-func WornRanges(recs []Record, horizon time.Duration) RangeSet {
-	c := NewCursor(recs)
-	return WornRangesCursor(&c, horizon)
-}
-
-// WornRangesCursor is WornRanges over a record cursor: a single streaming
-// scan, so out-of-core sources never materialize the stream.
+// WornRangesCursor extracts the periods a badge was worn from its KindWear
+// transition records in a single streaming scan, so out-of-core sources
+// never materialize the stream. An interval still open at the end is
+// closed at horizon (pass the last record timestamp or the mission end).
 func WornRangesCursor(c *Cursor, horizon time.Duration) RangeSet {
 	var out RangeSet
 	var open bool

@@ -16,7 +16,6 @@ import (
 // throughput into the compressed form, bytes on disk against the framed
 // encoding (the compression ratio), cold out-of-core query latency (open +
 // seek + decode just the needed blocks), and the warm zero-alloc iterator.
-// BENCH_pr9.json records them.
 
 const segBenchN = 200_000
 
@@ -139,7 +138,7 @@ func BenchmarkColdRangeKind(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rd.RangeKind(mid, mid+time.Hour, record.KindBeacon)) == 0 {
+		if len(drain(rd.Iter(mid, mid+time.Hour, record.KindBeacon))) == 0 {
 			b.Fatal("empty range")
 		}
 		rd.Close()

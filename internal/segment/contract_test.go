@@ -7,13 +7,12 @@ import (
 	"icares/internal/stats"
 )
 
-// TestCountersAgreeAfterCorruptDrop pins the satellite-2 contract: the
-// reader's counters are lazily consistent. Before any block is decoded they
-// answer from the index (the damage is not yet known); after a scan that
-// touched every block, Len() equals len(All()), Dropped() reports the lost
-// records, and KindCounts() agrees kind-by-kind with what All() actually
-// returns — including kinds wholly lost with the block, which report 0
-// without losing their key.
+// TestCountersAgreeAfterCorruptDrop pins the reader's lazily consistent
+// counters. Before any block is decoded they answer from the index (the
+// damage is not yet known); after a full scan that touched every block,
+// Len() equals the number of records the scan returned, Dropped() reports
+// the lost records, and per-kind scans agree kind by kind with the full
+// scan.
 func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	recs := randRecords(stats.NewRNG(17), 1000)
 	raw := writeSegment(t, 3, 100, recs)
@@ -31,9 +30,9 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 		t.Fatalf("pre-scan Dropped=%d CorruptBlocks=%d, want 0,0", rd.Dropped(), rd.CorruptBlocks())
 	}
 
-	all := rd.All()
+	all := drainAll(rd)
 	if rd.Len() != len(all) {
-		t.Fatalf("post-scan Len() = %d disagrees with len(All()) = %d", rd.Len(), len(all))
+		t.Fatalf("post-scan Len() = %d disagrees with the full scan's %d records", rd.Len(), len(all))
 	}
 	if rd.Dropped() != 100 {
 		t.Fatalf("Dropped() = %d, want the corrupt block's 100 records", rd.Dropped())
@@ -46,31 +45,16 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	for _, r := range all {
 		actual[r.Kind]++
 	}
-	kc := rd.KindCounts()
-	sum := 0
-	for k, n := range kc {
-		if actual[k] != n {
-			t.Errorf("KindCounts[%v] = %d, want %d surviving", k, n, actual[k])
-		}
-		sum += n
-	}
-	for k, n := range actual {
-		if _, ok := kc[k]; !ok {
-			t.Errorf("KindCounts missing kind %v (%d records)", k, n)
-		}
-	}
-	if sum != len(all) {
-		t.Errorf("KindCounts sums to %d, want %d", sum, len(all))
-	}
-	// Kind() must agree with the counter it advertises.
-	for k, n := range kc {
-		if got := len(rd.Kind(k)); got != n {
-			t.Errorf("len(Kind(%v)) = %d, want KindCounts %d", k, got, n)
+	// Per-kind scans prune blocks by the index's kind counts; they must
+	// agree kind by kind with what the full scan returned.
+	for k := record.KindAccel; k <= record.KindBattery; k++ {
+		if got := len(drain(rd.Iter(minT, maxT, k))); got != actual[k] {
+			t.Errorf("len(Kind(%v)) = %d, want %d surviving", k, got, actual[k])
 		}
 	}
 
 	// Idempotent: re-scans neither recount nor resurrect the block.
-	rd.All()
+	drainAll(rd)
 	if rd.Len() != len(all) || rd.Dropped() != 100 || rd.CorruptBlocks() != 1 {
 		t.Fatalf("re-scan changed counters: Len=%d Dropped=%d CorruptBlocks=%d",
 			rd.Len(), rd.Dropped(), rd.CorruptBlocks())

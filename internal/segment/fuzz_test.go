@@ -14,7 +14,7 @@ import (
 // scan, block decode, queries — with valid segments plus truncated and
 // bit-flipped mutants. Invariants: nothing panics, errors stay in the
 // ErrBadSegment/ErrCorrupt family, and whatever opens answers queries
-// consistently with its own All() while the salvage counters account for
+// consistently with its own full scan while the salvage counters account for
 // the damage.
 func FuzzReader(f *testing.F) {
 	rng := stats.NewRNG(99)
@@ -46,34 +46,34 @@ func FuzzReader(f *testing.F) {
 			return
 		}
 		defer rd.Close()
-		all := rd.All()
+		all := drainAll(rd)
 		if len(all) != rd.Len() {
-			// Len comes from the (possibly salvaged) index; All drops blocks
+			// Len comes from the (possibly salvaged) index; a scan drops blocks
 			// whose CRC fails at read time. A mismatch is only legal if the
 			// reader actually reported corrupt blocks.
 			if rd.CorruptBlocks() == 0 {
-				t.Fatalf("All() = %d records, Len() = %d, no corrupt blocks", len(all), rd.Len())
+				t.Fatalf("full scan = %d records, Len() = %d, no corrupt blocks", len(all), rd.Len())
 			}
 		}
 		for i := 1; i < len(all); i++ {
 			if all[i].Local < all[i-1].Local {
-				t.Fatal("All() not time-ordered")
+				t.Fatal("full scan not time-ordered")
 			}
 		}
-		// Queries over the salvaged view must agree with its own All().
+		// Queries over the salvaged view must agree with its own full scan.
 		var from, to time.Duration
 		if len(all) > 0 {
 			from, to = all[0].Local, all[len(all)-1].Local+1
 		}
-		if got := rd.Range(from, to); len(got) != len(all) {
+		if got := drain(rd.Iter(from, to, 0)); len(got) != len(all) {
 			t.Fatalf("full Range = %d records, All = %d", len(got), len(all))
 		}
-		if got := rd.Range(to, from); to > from && len(got) != 0 {
+		if got := drain(rd.Iter(to, from, 0)); to > from && len(got) != 0 {
 			t.Fatalf("inverted Range = %d records, want 0", len(got))
 		}
 		var perKind int
 		for k := record.KindAccel; k <= record.KindBattery; k++ {
-			perKind += len(rd.Kind(k))
+			perKind += len(drain(rd.Iter(minT, maxT, k)))
 		}
 		if perKind != len(all) {
 			t.Fatalf("kind views hold %d records, All = %d", perKind, len(all))

@@ -25,9 +25,8 @@ const DefaultCacheBlocks = 64
 // Reader answers store queries out-of-core from one segment file: it keeps
 // only the block index resident, seek-reads exactly the blocks a query
 // overlaps, and holds a small LRU cache of decoded blocks so repeated
-// queries over the same window stay allocation-free. It exposes the same
-// All/Range/Kind/RangeKind view contract as store.Series and is safe for
-// concurrent readers.
+// queries over the same window stay allocation-free. It answers the same
+// store.View contract as store.Series and is safe for concurrent readers.
 //
 // Salvage follows record.LogReader semantics: a segment whose index frame
 // is lost or corrupt is recovered by a forward scan over the self-framed
@@ -36,12 +35,11 @@ const DefaultCacheBlocks = 64
 // time is dropped for the reader's lifetime (reopen to retry a transient
 // I/O error) and counted by CorruptBlocks.
 //
-// Len and KindCounts are lazily consistent with that query-time salvage:
-// they subtract the records of every block discovered corrupt so far, so
-// after any call that touches all blocks (All, a full-window Iter),
-// Len() == len(All()) and KindCounts agrees with what Kind returns even
-// when blocks were damaged after the index was written. Dropped reports how
-// many indexed records have been lost that way.
+// Len is lazily consistent with that query-time salvage: it subtracts the
+// records of every block discovered corrupt so far, so after a full-window
+// Iter has touched every block, Len equals the number of records the scan
+// yielded even when blocks were damaged after the index was written.
+// Dropped reports how many indexed records have been lost that way.
 type Reader struct {
 	r      io.ReaderAt
 	closer io.Closer
@@ -50,7 +48,6 @@ type Reader struct {
 	badgeID uint16
 	blocks  []blockMeta
 	total   int
-	counts  map[record.Kind]int
 
 	skipped   int
 	truncated bool
@@ -62,10 +59,9 @@ type Reader struct {
 	cap   int
 	// dropped holds the indexes of blocks discovered corrupt at query time.
 	// It survives LRU eviction so a re-read of the same bad block is never
-	// double-counted; droppedTotal/droppedCounts mirror it in record units.
-	dropped       map[int]struct{}
-	droppedTotal  int
-	droppedCounts map[record.Kind]int
+	// double-counted; droppedTotal mirrors it in record units.
+	dropped      map[int]struct{}
+	droppedTotal int
 }
 
 // cacheSlot is one cached decoded block.
@@ -120,12 +116,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if err := r.loadIndex(); err != nil {
 		r.salvageScan()
 	}
-	r.counts = make(map[record.Kind]int)
 	for _, m := range r.blocks {
 		r.total += m.count
-		for _, kc := range m.counts {
-			r.counts[kc.kind] += int(kc.count)
-		}
 	}
 	return r, nil
 }
@@ -340,8 +332,8 @@ func (r *Reader) Close() error {
 func (r *Reader) BadgeID() uint16 { return r.badgeID }
 
 // Len returns the number of readable records: the index total minus the
-// records of blocks discovered corrupt at query time, so it agrees with
-// len(All()) once every block has been touched.
+// records of blocks discovered corrupt at query time, so it agrees with a
+// full-window Iter once every block has been touched.
 func (r *Reader) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -354,27 +346,6 @@ func (r *Reader) BytesOnDisk() int64 { return r.size }
 
 // Blocks returns how many blocks the segment holds.
 func (r *Reader) Blocks() int { return len(r.blocks) }
-
-// KindCounts returns the per-kind record counts from the block index minus
-// the counts of blocks discovered corrupt at query time, without touching
-// any block. Kinds whose records were all lost report 0 (the key stays).
-func (r *Reader) KindCounts() map[record.Kind]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[record.Kind]int, len(r.counts))
-	for k, n := range r.counts {
-		out[k] = n - r.droppedCounts[k]
-	}
-	return out
-}
-
-// liveKindCount returns the index count of k minus records in blocks known
-// corrupt — the exact size hint for Kind once every block has been touched.
-func (r *Reader) liveKindCount(k record.Kind) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[k] - r.droppedCounts[k]
-}
 
 // Skipped returns how many corrupt blocks the salvage scan dropped.
 func (r *Reader) Skipped() int { return r.skipped }
@@ -389,7 +360,7 @@ func (r *Reader) Salvaged() bool { return r.salvaged }
 
 // CorruptBlocks returns how many distinct blocks failed their CRC, decode,
 // or read at query time; their records are lost to views (and subtracted
-// from Len/KindCounts), mirroring load salvage.
+// from Len), mirroring load salvage.
 func (r *Reader) CorruptBlocks() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -408,7 +379,7 @@ func (r *Reader) Dropped() int {
 // block returns the decoded block i, from cache or by one seek+read. A
 // block that fails its CRC, decode, or read is cached as corrupt so it is
 // not re-read on every query, and its records are subtracted from
-// Len/KindCounts exactly once (the dropped set outlives cache eviction).
+// Len exactly once (the dropped set outlives cache eviction).
 func (r *Reader) block(i int) *decodedBlock {
 	r.mu.Lock()
 	if el, ok := r.cache[i]; ok {
@@ -444,12 +415,6 @@ func (r *Reader) block(i int) *decodedBlock {
 				}
 				r.dropped[i] = struct{}{}
 				r.droppedTotal += m.count
-				if r.droppedCounts == nil {
-					r.droppedCounts = make(map[record.Kind]int)
-				}
-				for _, kc := range m.counts {
-					r.droppedCounts[kc.kind] += int(kc.count)
-				}
 			}
 		}
 		r.cache[i] = r.lru.PushFront(&cacheSlot{idx: i, block: blk})
@@ -461,19 +426,6 @@ func (r *Reader) block(i int) *decodedBlock {
 	}
 	r.mu.Unlock()
 	return blk
-}
-
-// All returns the full, time-ordered record slice, decoding every block.
-// The returned slice is a read-only view; callers must not modify it.
-func (r *Reader) All() []record.Record {
-	if len(r.blocks) == 1 {
-		return r.block(0).recs
-	}
-	out := make([]record.Record, 0, r.total)
-	for i := range r.blocks {
-		out = append(out, r.block(i).recs...)
-	}
-	return out
 }
 
 // rangeBlocks returns the half-open block span [lo, hi) whose time ranges
@@ -490,73 +442,6 @@ func (r *Reader) rangeBlocks(from, to time.Duration) (int, int) {
 	return lo, hi
 }
 
-// Range returns the records with timestamps in [from, to), reading only the
-// blocks the window overlaps. Inverted windows (from >= to) are empty.
-func (r *Reader) Range(from, to time.Duration) []record.Record {
-	lo, hi := r.rangeBlocks(from, to)
-	if lo >= hi {
-		return nil
-	}
-	if hi-lo == 1 {
-		return sliceRange(r.block(lo).recs, from, to)
-	}
-	var out []record.Record
-	for i := lo; i < hi; i++ {
-		out = append(out, sliceRange(r.block(i).recs, from, to)...)
-	}
-	return out
-}
-
-// Kind returns all records of one kind, in time order, skipping blocks the
-// index proves empty of it.
-func (r *Reader) Kind(k record.Kind) []record.Record {
-	if r.counts[k] == 0 {
-		return nil
-	}
-	total := r.liveKindCount(k)
-	var only *blockMeta
-	for i := range r.blocks {
-		if r.blocks[i].kindCount(k) > 0 {
-			if only != nil {
-				only = nil
-				break
-			}
-			only = &r.blocks[i]
-		}
-	}
-	out := make([]record.Record, 0, total)
-	for i := range r.blocks {
-		m := &r.blocks[i]
-		if m.kindCount(k) == 0 {
-			continue
-		}
-		col := r.block(i).byKind[k]
-		if only == m {
-			return col
-		}
-		out = append(out, col...)
-	}
-	return out
-}
-
-// RangeKind returns records of one kind within [from, to), touching only
-// blocks that both hold the kind and overlap the window.
-func (r *Reader) RangeKind(from, to time.Duration, k record.Kind) []record.Record {
-	lo, hi := r.rangeBlocks(from, to)
-	var out []record.Record
-	for i := lo; i < hi; i++ {
-		if r.blocks[i].kindCount(k) == 0 {
-			continue
-		}
-		part := sliceRange(r.block(i).byKind[k], from, to)
-		if len(out) == 0 && hi-lo == 1 {
-			return part
-		}
-		out = append(out, part...)
-	}
-	return out
-}
-
 // sliceRange returns the [from, to) sub-slice of a time-sorted record
 // slice — the same two binary searches store.Series uses, clamped so
 // inverted windows are empty.
@@ -567,16 +452,6 @@ func sliceRange(recs []record.Record, from, to time.Duration) []record.Record {
 		hi = lo
 	}
 	return recs[lo:hi]
-}
-
-// First returns the earliest record, if any.
-func (r *Reader) First() (record.Record, bool) {
-	for i := range r.blocks {
-		if recs := r.block(i).recs; len(recs) > 0 {
-			return recs[0], true
-		}
-	}
-	return record.Record{}, false
 }
 
 // Last returns the latest record, if any.

@@ -59,8 +59,8 @@
 // The index frame uses the same tag/length/CRC framing with tag 0xF1; its
 // body lists per block: file offset, frame length, record count, min/max
 // Local, a kind bitmask, and per-kind record counts — the on-disk analog of
-// the store's per-kind posting indexes, letting Kind/RangeKind prune whole
-// blocks without touching them.
+// the store's per-kind posting indexes, letting a per-kind Iter prune
+// whole blocks without touching them.
 package segment
 
 import (
@@ -221,13 +221,6 @@ func (sw *Writer) Append(r record.Record) error {
 	}
 	return nil
 }
-
-// Len returns how many records have been appended.
-func (sw *Writer) Len() int { return sw.total }
-
-// BytesWritten returns the file size so far (header and flushed blocks;
-// after Finish, the whole file).
-func (sw *Writer) BytesWritten() int64 { return sw.off }
 
 // flushBlock encodes and writes the pending records as one block frame.
 func (sw *Writer) flushBlock() error {

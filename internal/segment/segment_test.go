@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -107,6 +108,26 @@ func refRange(recs []record.Record, from, to time.Duration) []record.Record {
 	return out
 }
 
+// minT/maxT span the whole timestamp domain, for full scans through Iter.
+const (
+	minT = time.Duration(math.MinInt64)
+	maxT = time.Duration(math.MaxInt64)
+)
+
+// drain collects every record a cursor yields.
+func drain(it record.Cursor) []record.Record {
+	var out []record.Record
+	for it.Next() {
+		out = append(out, it.Record())
+	}
+	return out
+}
+
+// drainAll collects the reader's whole stream, every kind.
+func drainAll(rd *Reader) []record.Record {
+	return drain(rd.Iter(minT, maxT, 0))
+}
+
 func sameRecords(a, b []record.Record) bool {
 	if len(a) != len(b) {
 		return false
@@ -133,17 +154,16 @@ func TestRoundTripAllKindsAcrossBlockSizes(t *testing.T) {
 		if rd.Salvaged() || rd.Skipped() != 0 || rd.Truncated() {
 			t.Fatalf("block size %d: clean segment reported salvage", bs)
 		}
-		if !sameRecords(rd.All(), recs) {
+		if !sameRecords(drainAll(rd), recs) {
 			t.Fatalf("block size %d: All mismatch", bs)
 		}
 		for k := record.KindAccel; k <= record.KindBattery; k++ {
-			if !sameRecords(rd.Kind(k), refKind(recs, k)) {
+			if !sameRecords(drain(rd.Iter(minT, maxT, k)), refKind(recs, k)) {
 				t.Fatalf("block size %d: Kind(%v) mismatch", bs, k)
 			}
 		}
-		first, ok := rd.First()
-		if !ok || first != recs[0] {
-			t.Fatalf("block size %d: First %+v", bs, first)
+		if all := drainAll(rd); len(all) == 0 || all[0] != recs[0] {
+			t.Fatalf("block size %d: First missing or wrong", bs)
 		}
 		last, ok := rd.Last()
 		if !ok || last != recs[len(recs)-1] {
@@ -153,8 +173,8 @@ func TestRoundTripAllKindsAcrossBlockSizes(t *testing.T) {
 }
 
 // Property: for any sorted record sequence and any block size, the segment
-// answers All/Range/Kind/RangeKind exactly like the slice it was written
-// from — and inverted windows are empty, never a panic.
+// answers full, windowed and per-kind scans exactly like the slice it was
+// written from — and inverted windows are empty, never a panic.
 func TestQuickSegmentRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -163,7 +183,7 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 		raw := writeSegment(t, uint16(seed), blockSize, recs)
 		rd := openBytes(t, raw)
 		rd.SetCacheBlocks(1 + rng.Intn(4)) // force eviction/re-read traffic
-		if !sameRecords(rd.All(), recs) {
+		if !sameRecords(drainAll(rd), recs) {
 			return false
 		}
 		var span time.Duration
@@ -174,13 +194,13 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 			from := time.Duration(rng.Intn(int(span/time.Second)+2)) * time.Second / 2
 			to := time.Duration(rng.Intn(int(span/time.Second)+2)) * time.Second / 2
 			k := record.Kind(1 + rng.Intn(9))
-			if !sameRecords(rd.Range(from, to), refRange(recs, from, to)) {
+			if !sameRecords(drain(rd.Iter(from, to, 0)), refRange(recs, from, to)) {
 				return false
 			}
-			if !sameRecords(rd.RangeKind(from, to, k), refRange(refKind(recs, k), from, to)) {
+			if !sameRecords(drain(rd.Iter(from, to, k)), refRange(refKind(recs, k), from, to)) {
 				return false
 			}
-			if from >= to && len(rd.Range(from, to)) != 0 {
+			if from >= to && len(drain(rd.Iter(from, to, 0))) != 0 {
 				return false
 			}
 		}
@@ -222,13 +242,13 @@ func TestIterMatchesViews(t *testing.T) {
 func TestEmptySegment(t *testing.T) {
 	raw := writeSegment(t, 4, 0, nil)
 	rd := openBytes(t, raw)
-	if rd.Len() != 0 || len(rd.All()) != 0 || rd.Blocks() != 0 {
+	if rd.Len() != 0 || len(drainAll(rd)) != 0 || rd.Blocks() != 0 {
 		t.Fatalf("empty segment: len %d blocks %d", rd.Len(), rd.Blocks())
 	}
-	if _, ok := rd.First(); ok {
+	if it := rd.Iter(minT, maxT, 0); it.Next() {
 		t.Fatal("First on empty segment")
 	}
-	if len(rd.Range(0, time.Hour)) != 0 || len(rd.Kind(record.KindMic)) != 0 {
+	if len(drain(rd.Iter(0, time.Hour, 0))) != 0 || len(drain(rd.Iter(minT, maxT, record.KindMic))) != 0 {
 		t.Fatal("empty segment answered records")
 	}
 }
@@ -267,7 +287,7 @@ func TestSalvageLostIndex(t *testing.T) {
 	if rd.Truncated() || rd.Skipped() != 0 {
 		t.Fatalf("intact blocks: skipped %d truncated %v", rd.Skipped(), rd.Truncated())
 	}
-	if !sameRecords(rd.All(), recs) {
+	if !sameRecords(drainAll(rd), recs) {
 		t.Fatal("salvaged All mismatch")
 	}
 }
@@ -289,7 +309,7 @@ func TestSalvageTruncatedMidBlock(t *testing.T) {
 	if !rd.Salvaged() || !rd.Truncated() {
 		t.Fatalf("salvaged %v truncated %v", rd.Salvaged(), rd.Truncated())
 	}
-	if !sameRecords(rd.All(), recs[:300]) {
+	if !sameRecords(drainAll(rd), recs[:300]) {
 		t.Fatalf("salvage kept %d records, want 300", rd.Len())
 	}
 }
@@ -309,7 +329,7 @@ func TestCorruptBlockIsDroppedAndCounted(t *testing.T) {
 	if rd.Salvaged() {
 		t.Fatal("index was intact; no salvage expected")
 	}
-	all := rd.All()
+	all := drainAll(rd)
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
 	if !sameRecords(all, want) {
 		t.Fatalf("All kept %d records, want %d without block 4", len(all), len(want))
@@ -318,7 +338,7 @@ func TestCorruptBlockIsDroppedAndCounted(t *testing.T) {
 		t.Fatalf("CorruptBlocks = %d, want 1", rd.CorruptBlocks())
 	}
 	// The corrupt block is cached as corrupt: re-querying must not recount.
-	rd.All()
+	drainAll(rd)
 	if rd.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks recounted: %d", rd.CorruptBlocks())
 	}
@@ -342,7 +362,7 @@ func TestSalvageSkipsCorruptBlock(t *testing.T) {
 		t.Fatalf("salvaged %v skipped %d, want salvage with 1 skip", rd.Salvaged(), rd.Skipped())
 	}
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
-	if !sameRecords(rd.All(), want) {
+	if !sameRecords(drainAll(rd), want) {
 		t.Fatal("salvage-with-skip All mismatch")
 	}
 }

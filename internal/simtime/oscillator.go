@@ -1,8 +1,6 @@
 package simtime
 
-import (
-	"time"
-)
+import "time"
 
 // Oscillator models an imperfect device clock: the badge microcontrollers in
 // the paper run on crystals whose frequency error produces clock shifts that
@@ -11,21 +9,12 @@ import (
 // A local reading L relates to true simulation time T as
 //
 //	L(T) = Offset + (1 + SkewPPM*1e-6) * T
-//
-// plus optional random-walk jitter accumulated by Advance.
 type Oscillator struct {
 	// Offset is the initial phase error of the clock.
 	Offset time.Duration
 	// SkewPPM is the constant frequency error in parts per million.
 	// Typical watch crystals are within +-20 ppm.
 	SkewPPM float64
-	// JitterPPM, when non-zero, adds a zero-mean random-walk component with
-	// the given per-step magnitude. Jitter requires a noise source.
-	JitterPPM float64
-
-	noise  func() float64 // returns N(0,1)-ish values; nil means no jitter
-	drift  time.Duration  // accumulated random-walk drift
-	lastAt time.Duration  // true time of the last Advance
 }
 
 // NewOscillator creates an oscillator with the given phase offset and skew.
@@ -33,96 +22,15 @@ func NewOscillator(offset time.Duration, skewPPM float64) *Oscillator {
 	return &Oscillator{Offset: offset, SkewPPM: skewPPM}
 }
 
-// WithJitter enables random-walk jitter using the provided standard-normal
-// source. It returns the oscillator for chaining.
-func (o *Oscillator) WithJitter(ppm float64, noise func() float64) *Oscillator {
-	o.JitterPPM = ppm
-	o.noise = noise
-	return o
-}
-
-// Advance accumulates random-walk drift up to true time t. Calling Advance
-// is only needed when jitter is enabled; Read alone models deterministic
-// skew.
-func (o *Oscillator) Advance(t time.Duration) {
-	if o.noise == nil || o.JitterPPM == 0 {
-		o.lastAt = t
-		return
-	}
-	dt := t - o.lastAt
-	if dt <= 0 {
-		return
-	}
-	o.drift += time.Duration(o.noise() * o.JitterPPM * 1e-6 * float64(dt))
-	o.lastAt = t
-}
-
 // Read converts true simulation time to the local clock reading.
 func (o *Oscillator) Read(trueTime time.Duration) time.Duration {
 	scaled := time.Duration(float64(trueTime) * (1 + o.SkewPPM*1e-6))
-	return o.Offset + scaled + o.drift
+	return o.Offset + scaled
 }
 
-// Invert converts a local clock reading back to estimated true time,
-// ignoring jitter. This is what a *perfect* correction would compute; the
-// timesync package estimates Offset and SkewPPM from observations instead.
+// Invert converts a local clock reading back to estimated true time. This
+// is what a *perfect* correction would compute; the timesync package
+// estimates Offset and SkewPPM from observations instead.
 func (o *Oscillator) Invert(local time.Duration) time.Duration {
-	return time.Duration(float64(local-o.Offset-o.drift) / (1 + o.SkewPPM*1e-6))
-}
-
-// ShiftAt returns the instantaneous clock shift (local - true) at true time
-// t, the quantity the paper computes between devices.
-func (o *Oscillator) ShiftAt(t time.Duration) time.Duration {
-	return o.Read(t) - t
-}
-
-// Day/slot helpers shared across the simulator. The mission runs on "Martian
-// time" maintained by artificial lighting; we model mission days as uniform
-// 24 h periods from T0, divided into the paper's 30-minute schedule slots.
-
-const (
-	// DayLength is the length of one mission day.
-	DayLength = 24 * time.Hour
-	// SlotLength is the schedule granularity used during ICAres-1.
-	SlotLength = 30 * time.Minute
-	// SlotsPerDay is the number of schedule slots in a day.
-	SlotsPerDay = int(DayLength / SlotLength)
-)
-
-// DayOf returns the 1-based mission day containing t (t=0 is day 1).
-func DayOf(t time.Duration) int {
-	if t < 0 {
-		return 0
-	}
-	return int(t/DayLength) + 1
-}
-
-// StartOfDay returns the virtual time at which the 1-based day begins.
-func StartOfDay(day int) time.Duration {
-	return time.Duration(day-1) * DayLength
-}
-
-// TimeOfDay returns the offset of t within its day.
-func TimeOfDay(t time.Duration) time.Duration {
-	if t < 0 {
-		return 0
-	}
-	return t % DayLength
-}
-
-// SlotOf returns the 0-based slot index of t within its day.
-func SlotOf(t time.Duration) int {
-	return int(TimeOfDay(t) / SlotLength)
-}
-
-// ClockString formats a time-of-day as HH:MM for report output.
-func ClockString(t time.Duration) string {
-	tod := TimeOfDay(t)
-	h := int(tod / time.Hour)
-	m := int(tod/time.Minute) % 60
-	return twoDigits(h) + ":" + twoDigits(m)
-}
-
-func twoDigits(v int) string {
-	return string([]byte{byte('0' + v/10), byte('0' + v%10)})
+	return time.Duration(float64(local-o.Offset) / (1 + o.SkewPPM*1e-6))
 }

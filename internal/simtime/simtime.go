@@ -1,6 +1,6 @@
 // Package simtime provides the virtual-time substrate for the icares
-// simulator: a discrete-event clock, a scheduler for timed callbacks, and
-// imperfect per-device oscillator models that convert true simulation time
+// simulator: mission-day and clock helpers over virtual time, and the
+// imperfect per-device oscillator model that converts true simulation time
 // into locally observed device time (the source of the clock shifts the
 // paper's reference badge corrects).
 //
@@ -9,159 +9,48 @@
 // time.
 package simtime
 
-import (
-	"container/heap"
-	"errors"
-	"time"
-)
+import "time"
 
 // Mission times are expressed as time.Duration offsets from mission start
 // (T0). Using Duration rather than time.Time keeps arithmetic explicit and
 // avoids fake calendar dates.
 
-// ErrStopped is returned when scheduling on a stopped scheduler.
-var ErrStopped = errors.New("simtime: scheduler stopped")
+// Day helpers shared across the simulator. The mission runs on "Martian
+// time" maintained by artificial lighting; we model mission days as uniform
+// 24 h periods from T0.
 
-// event is a scheduled callback.
-type event struct {
-	at   time.Duration
-	seq  uint64 // tie-breaker preserving schedule order
-	fn   func(now time.Duration)
-	heap int // index in the heap
-}
+// DayLength is the length of one mission day.
+const DayLength = 24 * time.Hour
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// DayOf returns the 1-based mission day containing t (t=0 is day 1).
+func DayOf(t time.Duration) int {
+	if t < 0 {
+		return 0
 	}
-	return q[i].seq < q[j].seq
+	return int(t/DayLength) + 1
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].heap = i
-	q[j].heap = j
+
+// StartOfDay returns the virtual time at which the 1-based day begins.
+func StartOfDay(day int) time.Duration {
+	return time.Duration(day-1) * DayLength
 }
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*event)
-	if !ok {
-		return
+
+// TimeOfDay returns the offset of t within its day.
+func TimeOfDay(t time.Duration) time.Duration {
+	if t < 0 {
+		return 0
 	}
-	e.heap = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return t % DayLength
 }
 
-// Scheduler is a single-threaded discrete-event scheduler. Callbacks run in
-// timestamp order; ties run in scheduling order. It is not safe for
-// concurrent use: the simulation is deliberately single-threaded for
-// determinism, with concurrency modelled as interleaved events.
-type Scheduler struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	stopped bool
+// ClockString formats a time-of-day as HH:MM for report output.
+func ClockString(t time.Duration) string {
+	tod := TimeOfDay(t)
+	h := int(tod / time.Hour)
+	m := int(tod/time.Minute) % 60
+	return twoDigits(h) + ":" + twoDigits(m)
 }
 
-// NewScheduler creates a scheduler at virtual time zero.
-func NewScheduler() *Scheduler {
-	return &Scheduler{}
-}
-
-// Now returns the current virtual time.
-func (s *Scheduler) Now() time.Duration { return s.now }
-
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// (before Now) runs the callback at the current time instead — the event
-// fires on the next step. It returns ErrStopped after Stop.
-func (s *Scheduler) At(at time.Duration, fn func(now time.Duration)) error {
-	if s.stopped {
-		return ErrStopped
-	}
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
-	return nil
-}
-
-// After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func(now time.Duration)) error {
-	return s.At(s.now+d, fn)
-}
-
-// Every schedules fn to run repeatedly with the given period, starting at
-// Now()+period, until the scheduler stops or until fn returns false.
-func (s *Scheduler) Every(period time.Duration, fn func(now time.Duration) bool) error {
-	if period <= 0 {
-		return errors.New("simtime: non-positive period")
-	}
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		if !fn(now) {
-			return
-		}
-		// Ignore ErrStopped: the chain simply ends.
-		_ = s.At(now+period, tick)
-	}
-	return s.At(s.now+period, tick)
-}
-
-// Step runs the next pending event, advancing virtual time to it. It returns
-// false when no events remain.
-func (s *Scheduler) Step() bool {
-	if s.stopped || s.queue.Len() == 0 {
-		return false
-	}
-	e, ok := heap.Pop(&s.queue).(*event)
-	if !ok {
-		return false
-	}
-	s.now = e.at
-	e.fn(s.now)
-	return true
-}
-
-// RunUntil processes events with timestamps <= deadline and then advances
-// the clock to exactly the deadline. It returns the number of events run.
-func (s *Scheduler) RunUntil(deadline time.Duration) int {
-	n := 0
-	for !s.stopped && s.queue.Len() > 0 && s.queue[0].at <= deadline {
-		s.Step()
-		n++
-	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
-	}
-	return n
-}
-
-// Run processes all remaining events. It returns the number of events run.
-// A periodic chain scheduled with Every must terminate via its callback, or
-// Run will not return; prefer RunUntil for open-ended simulations.
-func (s *Scheduler) Run() int {
-	n := 0
-	for s.Step() {
-		n++
-	}
-	return n
-}
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
-// Stop discards all pending events and rejects future scheduling.
-func (s *Scheduler) Stop() {
-	s.stopped = true
-	s.queue = nil
+func twoDigits(v int) string {
+	return string([]byte{byte('0' + v/10), byte('0' + v%10)})
 }

@@ -1,134 +1,12 @@
 package simtime
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"icares/internal/stats"
 )
-
-func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	mustAt := func(at time.Duration, id int) {
-		t.Helper()
-		if err := s.At(at, func(time.Duration) { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAt(3*time.Second, 3)
-	mustAt(1*time.Second, 1)
-	mustAt(2*time.Second, 2)
-	if n := s.Run(); n != 3 {
-		t.Fatalf("Run executed %d events, want 3", n)
-	}
-	for i, id := range order {
-		if id != i+1 {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	if s.Now() != 3*time.Second {
-		t.Errorf("Now = %v, want 3s", s.Now())
-	}
-}
-
-func TestSchedulerTieBreakBySchedulingOrder(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := s.At(time.Second, func(time.Duration) { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Run()
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("ties not FIFO: %v", order)
-		}
-	}
-}
-
-func TestSchedulerPastEventRunsNow(t *testing.T) {
-	s := NewScheduler()
-	if err := s.At(10*time.Second, func(time.Duration) {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	ran := false
-	var at time.Duration
-	if err := s.At(5*time.Second, func(now time.Duration) { ran, at = true, now }); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if !ran || at != 10*time.Second {
-		t.Errorf("past event ran=%v at=%v, want true at 10s", ran, at)
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	if err := s.Every(time.Second, func(time.Duration) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	n := s.RunUntil(10 * time.Second)
-	if n != 10 || count != 10 {
-		t.Errorf("RunUntil ran %d events, counted %d, want 10", n, count)
-	}
-	if s.Now() != 10*time.Second {
-		t.Errorf("Now = %v, want 10s", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1 (next tick)", s.Pending())
-	}
-}
-
-func TestSchedulerEveryStopsOnFalse(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	if err := s.Every(time.Second, func(time.Duration) bool {
-		count++
-		return count < 3
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-}
-
-func TestSchedulerEveryRejectsNonPositive(t *testing.T) {
-	s := NewScheduler()
-	if err := s.Every(0, func(time.Duration) bool { return false }); err == nil {
-		t.Error("Every(0) accepted")
-	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	if err := s.At(time.Second, func(time.Duration) { t.Error("ran after Stop") }); err != nil {
-		t.Fatal(err)
-	}
-	s.Stop()
-	if s.Step() {
-		t.Error("Step returned true after Stop")
-	}
-	if err := s.At(time.Second, func(time.Duration) {}); !errors.Is(err, ErrStopped) {
-		t.Errorf("At after Stop: %v", err)
-	}
-}
-
-func TestSchedulerRunUntilAdvancesIdleClock(t *testing.T) {
-	s := NewScheduler()
-	s.RunUntil(time.Hour)
-	if s.Now() != time.Hour {
-		t.Errorf("Now = %v, want 1h", s.Now())
-	}
-}
 
 func TestOscillatorSkew(t *testing.T) {
 	o := NewOscillator(0, 20) // +20 ppm
@@ -147,8 +25,8 @@ func TestOscillatorOffset(t *testing.T) {
 	if got := o.Read(0); got != 5*time.Second {
 		t.Errorf("Read(0) = %v, want 5s", got)
 	}
-	if got := o.ShiftAt(time.Hour); got != 5*time.Second {
-		t.Errorf("ShiftAt = %v, want 5s", got)
+	if got := o.Read(time.Hour) - time.Hour; got != 5*time.Second {
+		t.Errorf("shift at 1h = %v, want 5s", got)
 	}
 }
 
@@ -163,47 +41,21 @@ func TestOscillatorInvertRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOscillatorJitterAccumulates(t *testing.T) {
-	rng := stats.NewRNG(1)
-	o := NewOscillator(0, 0).WithJitter(100, func() float64 { return rng.Norm(0, 1) })
-	for step := 1; step <= 100; step++ {
-		o.Advance(time.Duration(step) * time.Minute)
-	}
-	if o.drift == 0 {
-		t.Error("jitter accumulated no drift")
-	}
-}
-
-func TestOscillatorAdvanceBackwardsIgnored(t *testing.T) {
-	rng := stats.NewRNG(2)
-	o := NewOscillator(0, 0).WithJitter(100, func() float64 { return rng.Norm(0, 1) })
-	o.Advance(time.Hour)
-	d := o.drift
-	o.Advance(30 * time.Minute) // backwards: no-op
-	if o.drift != d {
-		t.Error("backwards Advance changed drift")
-	}
-}
-
 func TestDayHelpers(t *testing.T) {
 	tests := []struct {
-		t    time.Duration
-		day  int
-		slot int
+		t   time.Duration
+		day int
 	}{
-		{0, 1, 0},
-		{30 * time.Minute, 1, 1},
-		{23*time.Hour + 59*time.Minute, 1, 47},
-		{24 * time.Hour, 2, 0},
-		{13*DayLength + 15*time.Hour, 14, 30},
-		{-time.Second, 0, 0},
+		{0, 1},
+		{30 * time.Minute, 1},
+		{23*time.Hour + 59*time.Minute, 1},
+		{24 * time.Hour, 2},
+		{13*DayLength + 15*time.Hour, 14},
+		{-time.Second, 0},
 	}
 	for _, tt := range tests {
 		if got := DayOf(tt.t); got != tt.day {
 			t.Errorf("DayOf(%v) = %d, want %d", tt.t, got, tt.day)
-		}
-		if got := SlotOf(tt.t); got != tt.slot {
-			t.Errorf("SlotOf(%v) = %d, want %d", tt.t, got, tt.slot)
 		}
 	}
 	if got := StartOfDay(3); got != 2*DayLength {
@@ -228,7 +80,7 @@ func TestClockString(t *testing.T) {
 	}
 }
 
-// Property: DayOf and StartOfDay are consistent; SlotOf is within range.
+// Property: DayOf and StartOfDay are consistent.
 func TestQuickDayInvariants(t *testing.T) {
 	f := func(raw uint32) bool {
 		tt := time.Duration(raw) * time.Second
@@ -236,11 +88,7 @@ func TestQuickDayInvariants(t *testing.T) {
 		if StartOfDay(day) > tt {
 			return false
 		}
-		if StartOfDay(day+1) <= tt {
-			return false
-		}
-		slot := SlotOf(tt)
-		return slot >= 0 && slot < SlotsPerDay
+		return StartOfDay(day+1) > tt
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

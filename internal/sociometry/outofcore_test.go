@@ -1,6 +1,7 @@
 package sociometry
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -172,7 +173,7 @@ func TestOutOfCoreReportParityCorrupt(t *testing.T) {
 		if !ok {
 			t.Fatalf("badge %d listed but has no view", id)
 		}
-		for _, r := range v.All() {
+		for _, r := range drain(v.Iter(math.MinInt64, math.MaxInt64, 0)) {
 			baseline.Series(id).Append(r)
 		}
 		dropped += ss.Series(id).Dropped()

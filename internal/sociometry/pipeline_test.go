@@ -112,10 +112,8 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	var sum float64
 	var cnt int
 	for _, name := range m.Participants {
-		frames := speech.FilterWorn(
-			speech.Frames(drain(p.crewIter(name, 0)), p.speechCfg),
-			p.WornRanges(name),
-		)
+		it := p.crewIter(name, 0)
+		frames := speech.FilterWorn(speech.FramesCursor(&it, p.speechCfg), p.WornRanges(name))
 		for _, f := range frames {
 			if f.At < m.From || f.At >= m.To || !f.Speech {
 				continue

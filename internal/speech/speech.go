@@ -39,15 +39,9 @@ type Frame struct {
 	Fraction float64
 }
 
-// Frames applies the detection rule to a badge's mic records. Records must
-// be time-ordered.
-func Frames(recs []record.Record, cfg Config) []Frame {
-	c := record.NewCursor(recs)
-	return FramesCursor(&c, cfg)
-}
-
-// FramesCursor is Frames over a record cursor: one streaming pass, so
-// out-of-core sources never materialize the mic stream.
+// FramesCursor applies the detection rule to a badge's time-ordered mic
+// records in one streaming pass, so out-of-core sources never materialize
+// the mic stream.
 func FramesCursor(c *record.Cursor, cfg Config) []Frame {
 	var out []Frame
 	for c.Next() {

@@ -8,6 +8,12 @@ import (
 	"icares/internal/simtime"
 )
 
+// frames runs the detection rule over a record slice.
+func frames(recs []record.Record, cfg Config) []Frame {
+	c := record.NewCursor(recs)
+	return FramesCursor(&c, cfg)
+}
+
 func micRec(at time.Duration, loud, f0, frac float64) record.Record {
 	return record.Record{
 		Local: at, Kind: record.KindMic,
@@ -33,7 +39,7 @@ func TestFramesApplyPaperRule(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			fs := Frames([]record.Record{tt.rec}, cfg)
+			fs := frames([]record.Record{tt.rec}, cfg)
 			if len(fs) != 1 {
 				t.Fatalf("frames = %d", len(fs))
 			}
@@ -49,7 +55,7 @@ func TestFramesIgnoreOtherKinds(t *testing.T) {
 		{Local: 0, Kind: record.KindAccel},
 		micRec(15*time.Second, 70, 140, 0.6),
 	}
-	if got := len(Frames(recs, DefaultConfig())); got != 1 {
+	if got := len(frames(recs, DefaultConfig())); got != 1 {
 		t.Errorf("frames = %d", got)
 	}
 }
@@ -63,7 +69,7 @@ func TestFractionAndFilterWorn(t *testing.T) {
 		}
 		recs = append(recs, micRec(time.Duration(i*15)*time.Second, loud, 140, frac))
 	}
-	frames := Frames(recs, DefaultConfig())
+	frames := frames(recs, DefaultConfig())
 	if f := Fraction(frames); f != 0.4 {
 		t.Errorf("fraction = %v", f)
 	}
@@ -85,7 +91,7 @@ func TestFractionByDay(t *testing.T) {
 		recs = append(recs, micRec(day2+time.Duration(i*15)*time.Second, 70, 140, 0.5))
 		recs = append(recs, micRec(day3+time.Duration(i*15)*time.Second, 35, 0, 0))
 	}
-	got := FractionByDay(Frames(recs, DefaultConfig()))
+	got := FractionByDay(frames(recs, DefaultConfig()))
 	if got[2] != 1 || got[3] != 0 {
 		t.Errorf("by day = %v", got)
 	}
@@ -145,7 +151,7 @@ func TestTalkingFrames(t *testing.T) {
 	for i := 5; i < 10; i++ {
 		recs = append(recs, micRec(time.Duration(i*15)*time.Second, 35, 0, 0))
 	}
-	frames := Frames(recs, DefaultConfig())
+	frames := frames(recs, DefaultConfig())
 	talking, total := TalkingFrames(frames, profiles, 25, "A")
 	if talking != 3 || total != 10 {
 		t.Errorf("talking/total = %d/%d, want 3/10", talking, total)
@@ -160,7 +166,7 @@ func TestConversationsSegmentation(t *testing.T) {
 	}
 	// Interleave silence frames that must not join conversations.
 	recs = append(recs, micRec(150*time.Second, 35, 0, 0))
-	frames := Frames(recs, DefaultConfig())
+	frames := frames(recs, DefaultConfig())
 	convs := Conversations(frames, 45*time.Second)
 	if len(convs) != 2 {
 		t.Fatalf("conversations = %+v", convs)

@@ -69,15 +69,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns ErrEmpty for an empty
 // slice.

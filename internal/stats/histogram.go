@@ -66,26 +66,9 @@ func (h *Histogram) Total() uint64 {
 	return t
 }
 
-// Underflow and Overflow return out-of-range tallies.
-func (h *Histogram) Underflow() uint64 { return h.under }
-
-// Overflow returns the number of observations at or above Hi.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
 // BinCenter returns the center of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.width
-}
-
-// Mode returns the index of the most populated bin (-1 if empty).
-func (h *Histogram) Mode() int {
-	best, bestCount := -1, uint64(0)
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	return best
 }
 
 // String renders a compact ASCII bar chart, useful in CLI reproduction

@@ -13,9 +13,8 @@ import (
 // The 1M-record benchmarks below measure the sorted-run layout against
 // seedSeries, a replica of the pre-shard store it replaced — one slice, a
 // dirty flag, sort.SliceStable on every dirty read, linear scans for kind
-// queries, and a throwaway encode per append to count bytes. BENCH_pr5.json
-// records both sides; the Series/seed pairs are the perf trajectory every
-// later PR is measured against.
+// queries, and a throwaway encode per append to count bytes. The
+// Series/seed pairs show what the layout buys on each query shape.
 
 const (
 	benchN   = 1_000_000
@@ -287,7 +286,7 @@ func BenchmarkDatasetParallelLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := Load(dir)
+		got, _, err := LoadWithReport(dir)
 		if err != nil {
 			b.Fatal(err)
 		}

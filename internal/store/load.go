@@ -179,13 +179,6 @@ type loadResult struct {
 	err       error
 }
 
-// Load reads every badge log in dir into a new dataset, salvaging
-// partially written logs. Use LoadWithReport to see what was salvaged.
-func Load(dir string) (*Dataset, error) {
-	d, _, err := LoadWithReport(dir)
-	return d, err
-}
-
 // LoadWithReport reads every badge log in dir into a new dataset, parsing
 // badge files concurrently with a bounded worker pool. A truncated tail
 // frame (the SD card pulled mid-write) or corrupt frames mid-log keep the

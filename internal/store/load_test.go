@@ -140,7 +140,7 @@ func TestLoadSkipsUnreadableFile(t *testing.T) {
 		t.Error("report claims clean load")
 	}
 	// The plain Load wrapper still succeeds on the salvageable dataset.
-	if _, err := Load(dir); err != nil {
+	if _, _, err := LoadWithReport(dir); err != nil {
 		t.Errorf("Load: %v", err)
 	}
 }

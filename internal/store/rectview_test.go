@@ -37,34 +37,26 @@ func TestRectifyViewMatchesMappedSeries(t *testing.T) {
 		}
 		got := RectifyView(raw, c)
 
-		if got.Len() != want.Len() {
-			t.Errorf("%+v: Len = %d, want %d", c, got.Len(), want.Len())
+		gotAll, all := drainAll(got), drainAll(want)
+		if len(gotAll) != len(all) {
+			t.Errorf("%+v: Len = %d, want %d", c, len(gotAll), len(all))
 		}
-		gf, _ := got.First()
-		wf, _ := want.First()
 		gl, _ := got.Last()
 		wl, _ := want.Last()
-		if gf != wf || gl != wl {
-			t.Errorf("%+v: First/Last = %v/%v, want %v/%v", c, gf.Local, gl.Local, wf.Local, wl.Local)
+		if gotAll[0] != all[0] || gl != wl {
+			t.Errorf("%+v: First/Last = %v/%v, want %v/%v", c, gotAll[0].Local, gl.Local, all[0].Local, wl.Local)
 		}
-		if !reflect.DeepEqual(got.All(), want.All()) {
+		if !reflect.DeepEqual(gotAll, all) {
 			t.Errorf("%+v: All differs", c)
 		}
-		all := want.All()
 		lo, hi := all[len(all)/4].Local, all[3*len(all)/4].Local
 		for _, k := range kinds {
-			if !reflect.DeepEqual(got.Kind(k), want.Kind(k)) {
+			if !reflect.DeepEqual(drain(got.Iter(minDuration, maxDuration, k)), drain(want.Iter(minDuration, maxDuration, k))) {
 				t.Errorf("%+v: Kind(%v) differs", c, k)
-			}
-			if !reflect.DeepEqual(got.RangeKind(lo, hi, k), want.RangeKind(lo, hi, k)) {
-				t.Errorf("%+v: RangeKind(%v) differs", c, k)
 			}
 			if !reflect.DeepEqual(drain(got.Iter(lo, hi, k)), drain(want.Iter(lo, hi, k))) {
 				t.Errorf("%+v: Iter(%v) differs", c, k)
 			}
-		}
-		if !reflect.DeepEqual(got.Range(lo, hi), want.Range(lo, hi)) {
-			t.Errorf("%+v: Range differs", c)
 		}
 		if !reflect.DeepEqual(drain(got.Iter(lo, hi, 0)), drain(want.Iter(lo, hi, 0))) {
 			t.Errorf("%+v: Iter over every kind differs", c)
@@ -81,11 +73,16 @@ func drain(it record.Cursor) []record.Record {
 	return out
 }
 
+// drainAll collects a view's whole stream, every kind.
+func drainAll(v View) []record.Record {
+	return drain(v.Iter(minDuration, maxDuration, 0))
+}
+
 func TestSeriesRectify(t *testing.T) {
 	var s Series
 	s.Append(mkRec(10*time.Second, record.KindAccel))
 	s.Append(mkRec(20*time.Second, record.KindAccel))
-	all := RectifyView(&s, timesync.Correction{Offset: 5 * time.Second}).All()
+	all := drainAll(RectifyView(&s, timesync.Correction{Offset: 5 * time.Second}))
 	if all[0].Local != 5*time.Second || all[1].Local != 15*time.Second {
 		t.Errorf("rectified = %v, %v", all[0].Local, all[1].Local)
 	}
@@ -110,10 +107,10 @@ func TestSeriesRectifyInvalidatesKindIndex(t *testing.T) {
 		t.Fatalf("pre-rectify mic records = %d", len(before))
 	}
 	v := RectifyView(&s, timesync.Correction{Offset: -time.Hour})
-	if got := v.RangeKind(0, 10*time.Second, record.KindMic); len(got) != 0 {
+	if got := drain(v.Iter(0, 10*time.Second, record.KindMic)); len(got) != 0 {
 		t.Errorf("stale kind index: %d records still in old window", len(got))
 	}
-	after := v.RangeKind(time.Hour, time.Hour+10*time.Second, record.KindMic)
+	after := drain(v.Iter(time.Hour, time.Hour+10*time.Second, record.KindMic))
 	if len(after) != 5 {
 		t.Errorf("post-rectify mic records = %d, want 5", len(after))
 	}
@@ -134,7 +131,7 @@ func TestSeriesRectifyNonMonotonicResorts(t *testing.T) {
 	}
 	// Reverse time (Skew -2 maps d to Offset-d): a pathological correction
 	// must still yield a sorted view.
-	all := RectifyView(&s, timesync.Correction{Offset: 100 * time.Second, Skew: -2}).All()
+	all := drainAll(RectifyView(&s, timesync.Correction{Offset: 100 * time.Second, Skew: -2}))
 	for i := 1; i < len(all); i++ {
 		if all[i].Local < all[i-1].Local {
 			t.Fatal("view unsorted after non-monotonic rectify")

@@ -17,18 +17,13 @@ import (
 // View is the read contract a sociometric query runs against: the
 // in-memory Series and the out-of-core segment.Reader both satisfy it, so
 // analyses can be pointed at either a resident dataset or a reopened
-// segment directory without caring which. Iter is the streaming access
-// path (k == 0 iterates every kind): per-window folds step it instead of
-// materializing All/Range slices, which is what keeps resident memory
-// bounded by the backend's cache rather than the dataset.
+// segment directory without caring which. Iter is the one access path
+// (k == 0 iterates every kind): per-window folds step it and never
+// materialize the stream, which is what keeps resident memory bounded by
+// the backend's cache rather than the dataset. Last answers the one
+// point query analyses need, the end of a badge's stream.
 type View interface {
-	All() []record.Record
-	Range(from, to time.Duration) []record.Record
-	Kind(k record.Kind) []record.Record
-	RangeKind(from, to time.Duration, k record.Kind) []record.Record
 	Iter(from, to time.Duration, k record.Kind) record.Cursor
-	Len() int
-	First() (record.Record, bool)
 	Last() (record.Record, bool)
 }
 
@@ -76,7 +71,9 @@ type manifest struct {
 // SaveSegments writes the dataset as one compressed, immutable segment
 // file per badge into dir — the persistent form of the sorted-run layout,
 // readable out-of-core with OpenSegments. Files are written atomically
-// (temp + fsync + rename) by the same bounded worker pool as Save.
+// (temp + fsync + rename) by the same bounded worker pool as Save. Saving
+// over an existing archive removes the segments of badges the dataset does
+// not hold, so the directory reopens as exactly this dataset.
 func (d *Dataset) SaveSegments(dir string) error {
 	return d.saveSegments(dir, 0)
 }
@@ -122,6 +119,13 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 			return err
 		}
 	}
+	keep := make(map[BadgeID]bool, len(jobs))
+	for _, j := range jobs {
+		keep[j.id] = true
+	}
+	if err := removeStaleSegments(dir, keep); err != nil {
+		return fmt.Errorf("save segments: %w", err)
+	}
 
 	man := manifest{FramedBytes: d.EncodedBytes()}
 	err := atomicWrite(dir, manifestName, func(f *os.File) error {
@@ -129,6 +133,28 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 	})
 	if err != nil {
 		return fmt.Errorf("save segments: %w", err)
+	}
+	return nil
+}
+
+// removeStaleSegments deletes the badge segments in dir whose badge is not
+// in keep: leftovers of an earlier save over the same directory, which
+// OpenSegments would otherwise reopen. Only files named exactly like a
+// badge segment are touched.
+func removeStaleSegments(dir string, keep map[BadgeID]bool) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		var id BadgeID
+		if _, err := fmt.Sscanf(e.Name(), "badge-%d.seg", &id); err != nil ||
+			e.IsDir() || e.Name() != segFileName(id) || keep[id] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -153,9 +179,9 @@ func saveOneSegment(dir string, id BadgeID, s *Series, blockSize int) error {
 }
 
 // SegmentStore is a dataset reopened out-of-core from a segment directory:
-// per-badge segment readers answering the same All/Range/Kind/RangeKind
-// queries as the in-memory store, while keeping only block indexes and a
-// small decoded-block cache resident. Safe for concurrent readers.
+// per-badge segment readers answering the same View queries as the
+// in-memory store, while keeping only block indexes and a small
+// decoded-block cache resident. Safe for concurrent readers.
 type SegmentStore struct {
 	dir     string
 	readers map[BadgeID]*segment.Reader
@@ -259,12 +285,6 @@ func (ss *SegmentStore) Badges() []BadgeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Has reports whether the store holds a segment for the badge.
-func (ss *SegmentStore) Has(id BadgeID) bool {
-	_, ok := ss.readers[id]
-	return ok
 }
 
 // Series returns the badge's out-of-core reader, or nil if the badge has

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,14 +44,15 @@ func fillDataset(t *testing.T, badges, seconds int) *Dataset {
 // the in-memory series it was saved from.
 func sameViews(t *testing.T, id BadgeID, want, got View) {
 	t.Helper()
-	if want.Len() != got.Len() {
-		t.Fatalf("badge %d: Len = %d, want %d", id, got.Len(), want.Len())
+	wantAll, gotAll := drainAll(want), drainAll(got)
+	if len(wantAll) != len(gotAll) {
+		t.Fatalf("badge %d: Len = %d, want %d", id, len(gotAll), len(wantAll))
 	}
-	if !recordsEqual(want.All(), got.All()) {
+	if !recordsEqual(wantAll, gotAll) {
 		t.Fatalf("badge %d: All mismatch", id)
 	}
 	for _, k := range []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon, record.KindNeighbor, record.KindEnv} {
-		if !recordsEqual(want.Kind(k), got.Kind(k)) {
+		if !recordsEqual(drain(want.Iter(minDuration, maxDuration, k)), drain(got.Iter(minDuration, maxDuration, k))) {
 			t.Fatalf("badge %d: Kind(%v) mismatch", id, k)
 		}
 	}
@@ -62,17 +64,15 @@ func sameViews(t *testing.T, id BadgeID, want, got View) {
 		{-5 * time.Second, 2 * time.Second},
 	}
 	for _, w := range windows {
-		if !recordsEqual(want.Range(w[0], w[1]), got.Range(w[0], w[1])) {
+		if !recordsEqual(drain(want.Iter(w[0], w[1], 0)), drain(got.Iter(w[0], w[1], 0))) {
 			t.Fatalf("badge %d: Range(%v, %v) mismatch", id, w[0], w[1])
 		}
-		if !recordsEqual(want.RangeKind(w[0], w[1], record.KindMic), got.RangeKind(w[0], w[1], record.KindMic)) {
+		if !recordsEqual(drain(want.Iter(w[0], w[1], record.KindMic)), drain(got.Iter(w[0], w[1], record.KindMic))) {
 			t.Fatalf("badge %d: RangeKind(%v, %v) mismatch", id, w[0], w[1])
 		}
 	}
-	wf, wok := want.First()
-	gf, gok := got.First()
-	if wok != gok || wf != gf {
-		t.Fatalf("badge %d: First = %v,%v want %v,%v", id, gf, gok, wf, wok)
+	if len(wantAll) > 0 && wantAll[0] != gotAll[0] {
+		t.Fatalf("badge %d: First = %v want %v", id, gotAll[0], wantAll[0])
 	}
 	wl, wok := want.Last()
 	gl, gok := got.Last()
@@ -114,7 +114,7 @@ func TestSaveOpenSegmentsRoundTrip(t *testing.T) {
 		t.Fatalf("TotalRecords = %d, want %d", ss.TotalRecords(), d.TotalRecords())
 	}
 	for _, id := range d.Badges() {
-		if !ss.Has(id) {
+		if _, ok := ss.View(id); !ok {
 			t.Fatalf("badge %d missing", id)
 		}
 		sameViews(t, id, d.Series(id), ss.Series(id))
@@ -125,6 +125,47 @@ func TestSaveOpenSegmentsRoundTrip(t *testing.T) {
 	// The point of segments: they must be smaller than the framed encoding.
 	if ss.BytesOnDisk() >= d.EncodedBytes() {
 		t.Errorf("segments %d B not smaller than framed %d B", ss.BytesOnDisk(), d.EncodedBytes())
+	}
+}
+
+// TestSaveSegmentsDropsStaleBadges pins that re-saving over an existing
+// archive leaves exactly the new dataset: segments of badges the new save
+// lacks are removed, and files that are not badge segments are left alone.
+func TestSaveSegmentsDropsStaleBadges(t *testing.T) {
+	dir := t.TempDir()
+	if err := fillDataset(t, 3, 20).SaveSegments(dir); err != nil {
+		t.Fatal(err)
+	}
+	others := []string{"notes.txt", "badge-1.seg", "badge-002.seg.bak"}
+	for _, name := range others {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smaller := fillDataset(t, 2, 20)
+	if err := smaller.SaveSegments(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segFileName(3))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale segment of badge 3 still present: %v", err)
+	}
+	for _, name := range others {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("non-segment file %s removed: %v", name, err)
+		}
+	}
+	// The misnamed badge-1.seg is left in place and fails to open; the
+	// reopen still yields exactly the new dataset.
+	ss, _, err := OpenSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if got, want := ss.Badges(), smaller.Badges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened badges = %v, want %v", got, want)
+	}
+	if ss.TotalRecords() != smaller.TotalRecords() {
+		t.Fatalf("reopened %d records, want %d", ss.TotalRecords(), smaller.TotalRecords())
 	}
 }
 

@@ -385,15 +385,6 @@ func (s *Series) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	return record.NewCursor(s.RangeKind(from, to, k))
 }
 
-// First returns the earliest record, if any.
-func (s *Series) First() (record.Record, bool) {
-	all := s.sorted()
-	if len(all) == 0 {
-		return record.Record{}, false
-	}
-	return all[0], true
-}
-
 // Last returns the latest record, if any.
 func (s *Series) Last() (record.Record, bool) {
 	all := s.sorted()

@@ -248,7 +248,7 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 	if err := d.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	got, _, err := LoadWithReport(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

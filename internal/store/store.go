@@ -134,14 +134,6 @@ func (d *Dataset) Watermark() map[BadgeID]uint64 {
 	return out
 }
 
-// Has reports whether the dataset contains any records for the badge.
-func (d *Dataset) Has(id BadgeID) bool {
-	d.mu.RLock()
-	s, ok := d.series[id]
-	d.mu.RUnlock()
-	return ok && s.Len() > 0
-}
-
 // Badges returns the badge IDs present, sorted.
 func (d *Dataset) Badges() []BadgeID {
 	d.mu.RLock()

@@ -93,7 +93,7 @@ func TestSeriesKindFilters(t *testing.T) {
 
 func TestSeriesFirstLast(t *testing.T) {
 	var s Series
-	if _, ok := s.First(); ok {
+	if it := s.Iter(minDuration, maxDuration, 0); it.Next() {
 		t.Error("First on empty series")
 	}
 	if _, ok := s.Last(); ok {
@@ -101,7 +101,7 @@ func TestSeriesFirstLast(t *testing.T) {
 	}
 	s.Append(mkRec(5*time.Second, record.KindAccel))
 	s.Append(mkRec(2*time.Second, record.KindAccel))
-	first, _ := s.First()
+	first := drainAll(&s)[0]
 	last, _ := s.Last()
 	if first.Local != 2*time.Second || last.Local != 5*time.Second {
 		t.Errorf("first/last = %v/%v", first.Local, last.Local)
@@ -126,13 +126,16 @@ func TestSeriesEncodedBytes(t *testing.T) {
 
 func TestDatasetBasics(t *testing.T) {
 	d := NewDataset()
-	if d.Has(1) {
+	if _, ok := d.View(1); ok {
 		t.Error("Has on empty dataset")
 	}
 	d.Series(3).Append(mkRec(time.Second, record.KindAccel))
 	d.Series(1).Append(mkRec(time.Second, record.KindMic))
 	d.Series(1).Append(mkRec(2*time.Second, record.KindMic))
-	if !d.Has(1) || !d.Has(3) || d.Has(2) {
+	_, has1 := d.View(1)
+	_, has2 := d.View(2)
+	_, has3 := d.View(3)
+	if !has1 || !has3 || has2 {
 		t.Error("Has wrong")
 	}
 	ids := d.Badges()
@@ -165,7 +168,7 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	got, _, err := LoadWithReport(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +190,13 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, _, err := LoadWithReport(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("missing dir accepted")
 	}
 }
 
 func TestLoadEmptyDir(t *testing.T) {
-	if _, err := Load(t.TempDir()); !errors.Is(err, ErrNoData) {
+	if _, _, err := LoadWithReport(t.TempDir()); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty dir: %v", err)
 	}
 }
@@ -251,7 +254,6 @@ func TestSeriesConcurrentReadersOnDirtySeries(t *testing.T) {
 				}
 			case 2:
 				s.Kind(record.KindBeacon)
-				s.First()
 				s.Last()
 			case 3:
 				if s.Len() != 5000 {

@@ -171,10 +171,10 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 	d.Ingest(15*time.Minute, "A", 1, accelRec(15*time.Minute, 50))
 	d.Ingest(25*time.Minute, "A", 1, mic(25*time.Minute))
 
-	if got := a.Dataset().TotalRecords(); got != 3 {
+	if got := a.live.TotalRecords(); got != 3 {
 		t.Fatalf("analytics hold %d records, want 3 (mic in privacy window scrubbed)", got)
 	}
-	for _, r := range a.Dataset().Series(1).All() {
+	for _, r := range a.live.Series(1).All() {
 		if r.Kind == record.KindMic && r.Local >= 10*time.Minute && r.Local < 20*time.Minute {
 			t.Error("suppressed mic record reached the analytics")
 		}

@@ -63,9 +63,6 @@ type Proposal struct {
 // Status returns the proposal's current state.
 func (p *Proposal) Status() ProposalStatus { return p.status }
 
-// DecidedAt returns when the proposal left Pending (zero while pending).
-func (p *Proposal) DecidedAt() time.Duration { return p.decidedAt }
-
 // Errors of the council.
 var (
 	ErrUnknownProposal = errors.New("support: unknown proposal")

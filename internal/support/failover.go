@@ -31,9 +31,8 @@ type Reassignment struct {
 
 // Errors of the pool.
 var (
-	ErrPoolEmpty    = errors.New("support: no backup badges left")
-	ErrNotAssigned  = errors.New("support: badge not assigned")
-	ErrBadgeUnknown = errors.New("support: badge not in pool")
+	ErrPoolEmpty   = errors.New("support: no backup badges left")
+	ErrNotAssigned = errors.New("support: badge not assigned")
 )
 
 // NewBadgePool creates a pool with the given spare badges.

@@ -151,9 +151,6 @@ func journalSeverity(s Severity) telemetry.EventSeverity {
 	}
 }
 
-// Analytics returns the attached live analytics, nil if none.
-func (d *Daemon) Analytics() *Analytics { return d.analytics }
-
 // Privacy returns the daemon's privacy guard.
 func (d *Daemon) Privacy() *PrivacyGuard { return d.privacy }
 
@@ -262,11 +259,6 @@ func (g *PrivacyGuard) Suppressed(name string, t time.Duration) bool {
 	return g.windows[name].Contains(t)
 }
 
-// Windows returns the astronaut's suppression windows.
-func (g *PrivacyGuard) Windows(name string) record.RangeSet {
-	return append(record.RangeSet{}, g.windows[name]...)
-}
-
 // HealthRegistry tracks device liveness.
 type HealthRegistry struct {
 	lastSeen map[store.BadgeID]time.Duration
@@ -282,12 +274,6 @@ func (h *HealthRegistry) Seen(id store.BadgeID, at time.Duration) {
 	if cur, ok := h.lastSeen[id]; !ok || at > cur {
 		h.lastSeen[id] = at
 	}
-}
-
-// LastSeen returns the badge's last sign of life.
-func (h *HealthRegistry) LastSeen(id store.BadgeID) (time.Duration, bool) {
-	at, ok := h.lastSeen[id]
-	return at, ok
 }
 
 // Stale returns the known badges not heard from within maxAge of now.

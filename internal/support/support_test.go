@@ -198,7 +198,7 @@ func TestPrivacyGuardSuppressesMicAndIR(t *testing.T) {
 	if len(det.frames) != 1 {
 		t.Error("mic frame outside window suppressed")
 	}
-	if got := d.Privacy().Windows("A").Total(); got != time.Hour {
+	if got := d.privacy.windows["A"].Total(); got != time.Hour {
 		t.Errorf("windows total = %v", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestHealthRegistry(t *testing.T) {
 	h.Seen(1, time.Minute)
 	h.Seen(2, 2*time.Minute)
 	h.Seen(1, 30*time.Second) // older: ignored
-	if at, ok := h.LastSeen(1); !ok || at != time.Minute {
+	if at, ok := h.lastSeen[1]; !ok || at != time.Minute {
 		t.Errorf("last seen = %v, %v", at, ok)
 	}
 	stale := h.Stale(40*time.Minute, 30*time.Minute)
@@ -330,8 +330,8 @@ func TestCouncilApproval(t *testing.T) {
 	if p.Status() != Approved {
 		t.Fatalf("status = %v", p.Status())
 	}
-	if p.DecidedAt() != 45*time.Minute {
-		t.Errorf("decided at %v", p.DecidedAt())
+	if p.decidedAt != 45*time.Minute {
+		t.Errorf("decided at %v", p.decidedAt)
 	}
 	// Voting after the decision fails.
 	if err := c.Vote(time.Hour, p.ID, "E", true); !errors.Is(err, ErrDecided) {

@@ -132,9 +132,6 @@ func (e Event) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// AppendJSON exposes the deterministic single-line JSON rendering.
-func (e Event) AppendJSON(b []byte) []byte { return e.appendJSON(b) }
-
 // DefaultJournalCapacity bounds a journal built with capacity <= 0.
 const DefaultJournalCapacity = 4096
 

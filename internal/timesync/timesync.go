@@ -174,13 +174,6 @@ func (e *Estimator) Observe(o Observation) {
 	e.dirty = true
 }
 
-// ObserveRecords feeds every KindSync record into the estimator and returns
-// how many observations were added.
-func (e *Estimator) ObserveRecords(recs []record.Record) int {
-	c := record.NewCursor(recs)
-	return e.ObserveCursor(&c)
-}
-
 // ObserveCursor feeds every KindSync record the cursor yields into the
 // estimator and returns how many observations were added. It visits each
 // record exactly once, so fits over out-of-core sources stream without
@@ -197,9 +190,6 @@ func (e *Estimator) ObserveCursor(c *record.Cursor) int {
 	}
 	return n
 }
-
-// N returns the number of accumulated observations.
-func (e *Estimator) N() int { return len(e.obs) }
 
 // Fit returns the correction over every observation so far, recomputing
 // only when new observations arrived since the last fit.

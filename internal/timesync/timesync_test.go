@@ -208,7 +208,8 @@ func TestEstimatorMatchesBatchEstimate(t *testing.T) {
 	// Feed in uneven chunks, fitting in between (stale fits must not poison
 	// the final one).
 	for _, chunk := range [][]record.Record{recs[:3], recs[3:17], recs[17:18], recs[18:]} {
-		if n := e.ObserveRecords(chunk); n != len(chunk) {
+		c := record.NewCursor(chunk)
+		if n := e.ObserveCursor(&c); n != len(chunk) {
 			t.Fatalf("observed %d of %d records", n, len(chunk))
 		}
 		e.Fit()
@@ -220,7 +221,7 @@ func TestEstimatorMatchesBatchEstimate(t *testing.T) {
 	if got != want {
 		t.Fatalf("incremental fit %+v != batch fit %+v", got, want)
 	}
-	if e.N() != len(obs) {
-		t.Fatalf("N = %d, want %d", e.N(), len(obs))
+	if len(e.obs) != len(obs) {
+		t.Fatalf("N = %d, want %d", len(e.obs), len(obs))
 	}
 }

@@ -1,12 +1,28 @@
 package icares
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"icares/internal/record"
 	"icares/internal/store"
 )
+
+// minT/maxT span the whole timestamp domain, for full scans through Iter.
+const (
+	minT = time.Duration(math.MinInt64)
+	maxT = time.Duration(math.MaxInt64)
+)
+
+// drain collects every record a cursor yields.
+func drain(it record.Cursor) []record.Record {
+	var out []record.Record
+	for it.Next() {
+		out = append(out, it.Record())
+	}
+	return out
+}
 
 // The acceptance path for the segment store: a full simulated mission saved
 // as segments reopens out-of-core byte-identical, answers every view the
@@ -37,7 +53,7 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 		if seg == nil {
 			t.Fatalf("badge %d has no segment", id)
 		}
-		want, got := mem.All(), seg.All()
+		want, got := drain(mem.Iter(minT, maxT, 0)), drain(seg.Iter(minT, maxT, 0))
 		if len(want) != len(got) {
 			t.Fatalf("badge %d: %d records out-of-core, want %d", id, len(got), len(want))
 		}
@@ -47,8 +63,8 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 			}
 		}
 		for _, k := range []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon, record.KindNeighbor, record.KindIR} {
-			if len(mem.Kind(k)) != len(seg.Kind(k)) {
-				t.Fatalf("badge %d Kind(%v): %d vs %d", id, k, len(seg.Kind(k)), len(mem.Kind(k)))
+			if lm, ls := len(drain(mem.Iter(minT, maxT, k))), len(drain(seg.Iter(minT, maxT, k))); lm != ls {
+				t.Fatalf("badge %d Kind(%v): %d vs %d", id, k, ls, lm)
 			}
 		}
 		windows := [][2]time.Duration{
@@ -57,10 +73,10 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 			{0, horizon},
 		}
 		for _, w := range windows {
-			if lm, ls := len(mem.Range(w[0], w[1])), len(seg.Range(w[0], w[1])); lm != ls {
+			if lm, ls := len(drain(mem.Iter(w[0], w[1], 0))), len(drain(seg.Iter(w[0], w[1], 0))); lm != ls {
 				t.Fatalf("badge %d Range(%v,%v): %d vs %d", id, w[0], w[1], ls, lm)
 			}
-			if lm, ls := len(mem.RangeKind(w[0], w[1], record.KindBeacon)), len(seg.RangeKind(w[0], w[1], record.KindBeacon)); lm != ls {
+			if lm, ls := len(drain(mem.Iter(w[0], w[1], record.KindBeacon))), len(drain(seg.Iter(w[0], w[1], record.KindBeacon))); lm != ls {
 				t.Fatalf("badge %d RangeKind(%v,%v): %d vs %d", id, w[0], w[1], ls, lm)
 			}
 		}
