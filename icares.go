@@ -60,9 +60,6 @@ type Options struct {
 	// (tick counts, fault transitions, record volume). Nil disables
 	// instrumentation at zero cost.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records sim-clock spans for the run and each
-	// mission day.
-	Tracer *telemetry.Tracer
 	// Journal, when non-nil, receives flight-recorder events (fault-plan
 	// badge death/reboot transitions) from the mission engine.
 	Journal *telemetry.Journal
@@ -100,7 +97,6 @@ func Simulate(opts Options) (*Mission, error) {
 		CollectTruth: opts.CollectTruth,
 		Faults:       opts.Faults,
 		Telemetry:    opts.Telemetry,
-		Tracer:       opts.Tracer,
 		Journal:      opts.Journal,
 	})
 	if err != nil {

@@ -1,17 +1,11 @@
 // Package geometry provides the 2-D primitives the habitat model and the RF
-// propagation model are built on: points, segments, axis-aligned rectangles,
-// simple polygons, point-in-polygon tests, and segment intersection.
+// propagation model are built on: points, segments, axis-aligned rectangles
+// and segment intersection.
 //
 // Coordinates are in meters throughout the icares codebase.
 package geometry
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDegeneratePolygon is returned for polygons with fewer than 3 vertices.
-var ErrDegeneratePolygon = errors.New("geometry: polygon needs at least 3 vertices")
+import "math"
 
 // Point is a 2-D point or vector.
 type Point struct {
@@ -158,92 +152,4 @@ func (r Rect) Edges() []Segment {
 	c := r.Max
 	d := Point{r.Min.X, r.Max.Y}
 	return []Segment{{a, b}, {b, c}, {c, d}, {d, a}}
-}
-
-// Polygon is a simple polygon defined by its vertices in order.
-type Polygon struct {
-	Vertices []Point
-}
-
-// NewPolygon validates and constructs a polygon, copying the vertex slice.
-func NewPolygon(vs []Point) (Polygon, error) {
-	if len(vs) < 3 {
-		return Polygon{}, ErrDegeneratePolygon
-	}
-	out := make([]Point, len(vs))
-	copy(out, vs)
-	return Polygon{Vertices: out}, nil
-}
-
-// Contains reports whether p is strictly inside the polygon (even-odd rule).
-// Boundary points may be reported either way within floating tolerance.
-func (pg Polygon) Contains(p Point) bool {
-	inside := false
-	n := len(pg.Vertices)
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		vi, vj := pg.Vertices[i], pg.Vertices[j]
-		if (vi.Y > p.Y) != (vj.Y > p.Y) {
-			xCross := vi.X + (p.Y-vi.Y)/(vj.Y-vi.Y)*(vj.X-vi.X)
-			if p.X < xCross {
-				inside = !inside
-			}
-		}
-	}
-	return inside
-}
-
-// Area returns the unsigned polygon area (shoelace formula).
-func (pg Polygon) Area() float64 {
-	var sum float64
-	n := len(pg.Vertices)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		sum += pg.Vertices[i].Cross(pg.Vertices[j])
-	}
-	return math.Abs(sum) / 2
-}
-
-// Centroid returns the polygon centroid. For degenerate (zero-area) input it
-// falls back to the vertex mean.
-func (pg Polygon) Centroid() Point {
-	var cx, cy, a float64
-	n := len(pg.Vertices)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		cross := pg.Vertices[i].Cross(pg.Vertices[j])
-		cx += (pg.Vertices[i].X + pg.Vertices[j].X) * cross
-		cy += (pg.Vertices[i].Y + pg.Vertices[j].Y) * cross
-		a += cross
-	}
-	if math.Abs(a) < eps {
-		var sx, sy float64
-		for _, v := range pg.Vertices {
-			sx += v.X
-			sy += v.Y
-		}
-		return Point{sx / float64(n), sy / float64(n)}
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
-}
-
-// BoundingRect returns the axis-aligned bounding rectangle of the polygon.
-func (pg Polygon) BoundingRect() Rect {
-	r := Rect{Min: pg.Vertices[0], Max: pg.Vertices[0]}
-	for _, v := range pg.Vertices[1:] {
-		r.Min.X = math.Min(r.Min.X, v.X)
-		r.Min.Y = math.Min(r.Min.Y, v.Y)
-		r.Max.X = math.Max(r.Max.X, v.X)
-		r.Max.Y = math.Max(r.Max.Y, v.Y)
-	}
-	return r
-}
-
-// Edges returns the boundary segments of the polygon.
-func (pg Polygon) Edges() []Segment {
-	n := len(pg.Vertices)
-	out := make([]Segment, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Segment{pg.Vertices[i], pg.Vertices[(i+1)%n]})
-	}
-	return out
 }

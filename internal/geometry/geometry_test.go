@@ -1,7 +1,6 @@
 package geometry
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -190,122 +189,5 @@ func TestRectEdges(t *testing.T) {
 	}
 	if math.Abs(perim-6) > 1e-12 {
 		t.Errorf("perimeter = %v, want 6", perim)
-	}
-}
-
-func TestPolygonValidation(t *testing.T) {
-	if _, err := NewPolygon([]Point{{0, 0}, {1, 1}}); !errors.Is(err, ErrDegeneratePolygon) {
-		t.Errorf("2-gon accepted: %v", err)
-	}
-	vs := []Point{{0, 0}, {1, 0}, {0, 1}}
-	pg, err := NewPolygon(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs[0] = Point{99, 99} // caller mutation must not leak in
-	if pg.Vertices[0] != (Point{0, 0}) {
-		t.Error("NewPolygon did not copy vertices")
-	}
-}
-
-func TestPolygonContains(t *testing.T) {
-	square, err := NewPolygon([]Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !square.Contains(Point{2, 2}) {
-		t.Error("center not inside")
-	}
-	if square.Contains(Point{5, 2}) {
-		t.Error("outside point inside")
-	}
-	// Concave L-shape.
-	ell, err := NewPolygon([]Point{{0, 0}, {4, 0}, {4, 2}, {2, 2}, {2, 4}, {0, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ell.Contains(Point{1, 3}) {
-		t.Error("L arm not inside")
-	}
-	if ell.Contains(Point{3, 3}) {
-		t.Error("L notch incorrectly inside")
-	}
-}
-
-func TestPolygonAreaCentroid(t *testing.T) {
-	square, _ := NewPolygon([]Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}})
-	if got := square.Area(); got != 16 {
-		t.Errorf("Area = %v, want 16", got)
-	}
-	if got := square.Centroid(); got.Dist(Point{2, 2}) > 1e-12 {
-		t.Errorf("Centroid = %v, want (2,2)", got)
-	}
-	// Clockwise orientation must give the same unsigned area.
-	cw, _ := NewPolygon([]Point{{0, 4}, {4, 4}, {4, 0}, {0, 0}})
-	if got := cw.Area(); got != 16 {
-		t.Errorf("CW Area = %v, want 16", got)
-	}
-}
-
-func TestPolygonDegenerateCentroid(t *testing.T) {
-	line, _ := NewPolygon([]Point{{0, 0}, {1, 0}, {2, 0}})
-	c := line.Centroid()
-	if c.Dist(Point{1, 0}) > 1e-9 {
-		t.Errorf("degenerate centroid = %v, want (1,0)", c)
-	}
-}
-
-func TestPolygonBoundingRectEdges(t *testing.T) {
-	tri, _ := NewPolygon([]Point{{0, 0}, {4, 1}, {2, 5}})
-	r := tri.BoundingRect()
-	if r.Min != (Point{0, 0}) || r.Max != (Point{4, 5}) {
-		t.Errorf("BoundingRect = %+v", r)
-	}
-	if got := len(tri.Edges()); got != 3 {
-		t.Errorf("Edges = %d", got)
-	}
-}
-
-// Property: polygon centroid lies within the bounding rect, and contained
-// points of a random axis-aligned rect polygon agree with Rect.Contains for
-// strictly interior points.
-func TestQuickRectPolygonAgreement(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		rect := NewRect(
-			Point{r.Range(-10, 0), r.Range(-10, 0)},
-			Point{r.Range(1, 10), r.Range(1, 10)},
-		)
-		pg, err := NewPolygon([]Point{
-			rect.Min,
-			{rect.Max.X, rect.Min.Y},
-			rect.Max,
-			{rect.Min.X, rect.Max.Y},
-		})
-		if err != nil {
-			return false
-		}
-		// Strictly interior samples must agree.
-		for i := 0; i < 20; i++ {
-			p := Point{
-				r.Range(rect.Min.X+0.01, rect.Max.X-0.01),
-				r.Range(rect.Min.Y+0.01, rect.Max.Y-0.01),
-			}
-			if !pg.Contains(p) || !rect.Contains(p) {
-				return false
-			}
-		}
-		// Exterior samples must agree too.
-		out := Point{rect.Max.X + 1, rect.Max.Y + 1}
-		if pg.Contains(out) || rect.Contains(out) {
-			return false
-		}
-		if math.Abs(pg.Area()-rect.Area()) > 1e-9 {
-			return false
-		}
-		return rect.Contains(pg.Centroid())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

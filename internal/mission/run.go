@@ -56,9 +56,6 @@ type Config struct {
 	// by phase, mission_fault_transitions_total by kind, mission_records gauge).
 	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-	// Tracer optionally receives one span per mission day plus one for the
-	// whole run, on the simulated clock. Nil disables tracing.
-	Tracer *telemetry.Tracer
 	// Journal optionally receives flight-recorder events for fault-plan
 	// badge death/reboot transitions. Nil disables journaling.
 	Journal *telemetry.Journal
@@ -233,15 +230,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	start := simtime.StartOfDay(cfg.FirstDataDay)
 	end := simtime.StartOfDay(cfg.Scenario.Days + 1)
-	runSpan := cfg.Tracer.Start("mission.run", start)
-	daySpan := cfg.Tracer.Start("mission.day", start)
-	spanDay := simtime.DayOf(start)
 	for now := start; now < end; {
-		if d := simtime.DayOf(now); d != spanDay {
-			daySpan.End(now)
-			daySpan = cfg.Tracer.Start("mission.day", now)
-			spanDay = d
-		}
 		tod := simtime.TimeOfDay(now)
 		if tod >= 8*time.Hour && tod < 22*time.Hour {
 			sim.daytimeTick(now)
@@ -251,8 +240,6 @@ func Run(cfg Config) (*Result, error) {
 		sim.nightTick(now)
 		now += 10 * time.Minute
 	}
-	daySpan.End(end)
-	runSpan.End(end)
 	sim.gRecords.Set(float64(dataset.TotalRecords()))
 	return res, nil
 }

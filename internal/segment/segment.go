@@ -1,6 +1,6 @@
 // Package segment implements the persistent, compressed, immutable segment
 // files the store spills missions to — the on-disk continuation of the
-// sorted-run layout in internal/store. The real ICAres-1 deployment wrote
+// sorted per-badge series in internal/store. The real ICAres-1 deployment wrote
 // ~150 GiB of raw SD data; a memory-resident store stops scaling at RAM, so
 // a segment file re-encodes one badge's time-ordered series into per-kind
 // column blocks that an out-of-core reader (see Reader) can fetch and decode

@@ -27,10 +27,3 @@ func (o *Oscillator) Read(trueTime time.Duration) time.Duration {
 	scaled := time.Duration(float64(trueTime) * (1 + o.SkewPPM*1e-6))
 	return o.Offset + scaled
 }
-
-// Invert converts a local clock reading back to estimated true time. This
-// is what a *perfect* correction would compute; the timesync package
-// estimates Offset and SkewPPM from observations instead.
-func (o *Oscillator) Invert(local time.Duration) time.Duration {
-	return time.Duration(float64(local-o.Offset) / (1 + o.SkewPPM*1e-6))
-}

@@ -30,17 +30,6 @@ func TestOscillatorOffset(t *testing.T) {
 	}
 }
 
-func TestOscillatorInvertRoundTrip(t *testing.T) {
-	o := NewOscillator(3*time.Second, -15)
-	for _, trueT := range []time.Duration{0, time.Minute, time.Hour, 14 * DayLength} {
-		local := o.Read(trueT)
-		back := o.Invert(local)
-		if diff := back - trueT; diff < -time.Microsecond || diff > time.Microsecond {
-			t.Errorf("Invert(Read(%v)) = %v", trueT, back)
-		}
-	}
-}
-
 func TestDayHelpers(t *testing.T) {
 	tests := []struct {
 		t   time.Duration

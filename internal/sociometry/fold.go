@@ -42,13 +42,13 @@ type staleKey struct {
 // (a segment archive) Follow does nothing.
 func (p *Pipeline) Follow() (stop func()) {
 	sub, ok := p.src.Data.(interface {
-		Subscribe(func(store.BadgeID, record.Record, uint64)) func()
+		Subscribe(func(store.BadgeID, record.Record)) func()
 	})
 	if !ok {
 		return func() {}
 	}
 	p.following.Store(true)
-	return sub.Subscribe(func(id store.BadgeID, r record.Record, _ uint64) {
+	return sub.Subscribe(func(id store.BadgeID, r record.Record) {
 		p.markStale(id, r.Local)
 	})
 }

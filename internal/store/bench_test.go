@@ -10,10 +10,11 @@ import (
 	"icares/internal/stats"
 )
 
-// The 1M-record benchmarks below measure the sorted-run layout against
-// seedSeries, a replica of the pre-shard store it replaced — one slice, a
-// dirty flag, sort.SliceStable on every dirty read, linear scans for kind
-// queries, and a throwaway encode per append to count bytes. The
+// The 1M-record benchmarks below measure Series (one sorted slice plus a
+// pending list of out-of-order appends, merged on the next read) against
+// seedSeries, a replica of the first store — one slice, a dirty flag,
+// sort.SliceStable over the whole series on every dirty read, linear scans
+// for kind queries, and a throwaway encode per append to count bytes. The
 // Series/seed pairs show what the layout buys on each query shape.
 
 const (

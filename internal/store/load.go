@@ -12,54 +12,24 @@ import (
 	"icares/internal/record"
 )
 
-// ioWorkers bounds the pool Save and Load fan badge files out across: one
-// worker per file up to GOMAXPROCS, capped so a 30-badge dataset on a big
-// machine does not open 30 file handles at once for little gain.
-func ioWorkers(files int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > files {
-		w = files
-	}
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Save writes one log file per badge into dir, creating it if needed. The
-// badge files are written concurrently by a bounded worker pool.
-func (d *Dataset) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("save dataset: %w", err)
-	}
-	d.mu.RLock()
-	type job struct {
-		id BadgeID
-		s  *Series
-	}
-	jobs := make([]job, 0, len(d.series))
-	for id, s := range d.series {
-		jobs = append(jobs, job{id, s})
-	}
-	d.mu.RUnlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
-
-	errs := make([]error, len(jobs))
+// fanOut calls work(i) for every i in [0, n) on a pool of one worker per
+// item up to GOMAXPROCS, capped at 8 so a 30-badge dataset on a big
+// machine does not open 30 file handles at once for little gain. It
+// returns the first error in index order, after every call has finished.
+func fanOut(n int, work func(i int) error) error {
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(jobs)); w++ {
+	for w := 0; w < max(1, min(runtime.GOMAXPROCS(0), n, 8)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = saveOne(dir, jobs[i].id, jobs[i].s)
+				errs[i] = work(i)
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
@@ -70,6 +40,52 @@ func (d *Dataset) Save(dir string) error {
 		}
 	}
 	return nil
+}
+
+// badgeSeries is one badge's series in a dataset snapshot.
+type badgeSeries struct {
+	id BadgeID
+	s  *Series
+}
+
+// snapshot returns the dataset's (badge, series) pairs in badge order: the
+// work list Save and SaveSegments fan out over.
+func (d *Dataset) snapshot() []badgeSeries {
+	d.mu.RLock()
+	out := make([]badgeSeries, 0, len(d.series))
+	for id, s := range d.series {
+		out = append(out, badgeSeries{id, s})
+	}
+	d.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// Save writes one log file per badge into dir, creating it if needed. The
+// badge files are written concurrently by a bounded worker pool.
+func (d *Dataset) Save(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("save dataset: %w", err)
+	}
+	jobs := d.snapshot()
+	return fanOut(len(jobs), func(i int) error { return saveOne(dir, jobs[i].id, jobs[i].s) })
+}
+
+// listFiles returns the names of the regular entries in dir with the given
+// extension, sorted.
+func listFiles(dir, ext string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ext {
+			files = append(files, e.Name())
+		}
+	}
+	sort.Strings(files)
+	return files, nil
 }
 
 func saveOne(dir string, id BadgeID, s *Series) error {
@@ -186,36 +202,15 @@ type loadResult struct {
 // directory — or a directory with no loadable badge data at all — fails
 // the load.
 func LoadWithReport(dir string) (*Dataset, *LoadReport, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := listFiles(dir, ".icr")
 	if err != nil {
 		return nil, nil, fmt.Errorf("load dataset: %w", err)
 	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".icr" {
-			continue
-		}
-		files = append(files, e.Name())
-	}
-	sort.Strings(files)
-
 	results := make([]loadResult, len(files))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = loadFile(filepath.Join(dir, files[i]))
-			}
-		}()
-	}
-	for i := range files {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	fanOut(len(files), func(i int) error {
+		results[i] = loadFile(filepath.Join(dir, files[i]))
+		return nil // a bad file goes to the report, not to the caller
+	})
 
 	d := NewDataset()
 	rep := &LoadReport{Badges: make(map[BadgeID]BadgeLoadStatus), Failed: make(map[string]error)}

@@ -69,9 +69,9 @@ type manifest struct {
 }
 
 // SaveSegments writes the dataset as one compressed, immutable segment
-// file per badge into dir — the persistent form of the sorted-run layout,
-// readable out-of-core with OpenSegments. Files are written atomically
-// (temp + fsync + rename) by the same bounded worker pool as Save. Saving
+// file per badge into dir — each badge's sorted series, readable
+// out-of-core with OpenSegments. Files are written atomically
+// (temp + fsync + rename) through the same bounded fan-out as Save. Saving
 // over an existing archive removes the segments of badges the dataset does
 // not hold, so the directory reopens as exactly this dataset.
 func (d *Dataset) SaveSegments(dir string) error {
@@ -85,39 +85,12 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("save segments: %w", err)
 	}
-	d.mu.RLock()
-	type job struct {
-		id BadgeID
-		s  *Series
-	}
-	jobs := make([]job, 0, len(d.series))
-	for id, s := range d.series {
-		jobs = append(jobs, job{id, s})
-	}
-	d.mu.RUnlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
-
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = saveOneSegment(dir, jobs[i].id, jobs[i].s, blockSize)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	jobs := d.snapshot()
+	err := fanOut(len(jobs), func(i int) error {
+		return saveOneSegment(dir, jobs[i].id, jobs[i].s, blockSize)
+	})
+	if err != nil {
+		return err
 	}
 	keep := make(map[BadgeID]bool, len(jobs))
 	for _, j := range jobs {
@@ -128,7 +101,7 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 	}
 
 	man := manifest{FramedBytes: d.EncodedBytes()}
-	err := atomicWrite(dir, manifestName, func(f *os.File) error {
+	err = atomicWrite(dir, manifestName, func(f *os.File) error {
 		return json.NewEncoder(f).Encode(man)
 	})
 	if err != nil {
@@ -202,41 +175,20 @@ type SegmentStore struct {
 // readable and is marked in the report; only an unreadable directory — or
 // one with no usable segment data at all — fails the open.
 func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := listFiles(dir, ".seg")
 	if err != nil {
 		return nil, nil, fmt.Errorf("open segments: %w", err)
 	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".seg" {
-			continue
-		}
-		files = append(files, e.Name())
-	}
-	sort.Strings(files)
-
 	type result struct {
 		rd  *segment.Reader
 		err error
 	}
 	results := make([]result, len(files))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rd, err := segment.Open(filepath.Join(dir, files[i]))
-				results[i] = result{rd, err}
-			}
-		}()
-	}
-	for i := range files {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	fanOut(len(files), func(i int) error {
+		rd, err := segment.Open(filepath.Join(dir, files[i]))
+		results[i] = result{rd, err}
+		return nil // a bad file goes to the report, not to the caller
+	})
 
 	ss := &SegmentStore{dir: dir, readers: make(map[BadgeID]*segment.Reader)}
 	rep := &LoadReport{Badges: make(map[BadgeID]BadgeLoadStatus), Failed: make(map[string]error)}

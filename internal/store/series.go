@@ -11,59 +11,46 @@ import (
 	"icares/internal/record"
 )
 
-// Tuning knobs of the sorted-run layout.
-const (
-	// maxTail bounds the unsorted tail before it is sealed into a sorted
-	// run, so no single seal ever stable-sorts more than this many records.
-	maxTail = 4096
-	// maxRuns bounds the number of sorted runs held between reads; beyond
-	// it, the smallest adjacent pair is merged so a read never k-way merges
-	// an unbounded fan-in.
-	maxRuns = 8
-)
-
-// Series is the time-ordered record log of one badge, laid out as sorted
-// runs: in-order appends (the overwhelmingly common case — a badge writes
-// its SD card in time order) extend the newest run directly; out-of-order
-// appends accumulate in a small unsorted tail that is sealed into a sorted
-// run of its own, and reads merge the runs — never a full re-sort of the
-// whole series. Per-kind sub-series are indexed lazily so Kind/RangeKind
-// answer from a cached, time-ordered view instead of scanning every record.
+// Series is the time-ordered record log of one badge: recs, sorted by
+// Local, plus pending, the out-of-order appends not yet merged into it. A
+// badge writes its SD card almost in time order (the simulator's
+// out-of-order appends land at most a few records back; live ingest
+// arrives in order), so an append no earlier than recs' last record
+// extends recs, and anything earlier waits in pending until the next read
+// stable-sorts it and merges it in. Per-kind sub-series are indexed lazily
+// so Kind/RangeKind answer from a cached, time-ordered view instead of
+// scanning every record.
 //
-// Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
-// Last, Len) may run concurrently, and Append may interleave with them —
-// merges build new backing arrays, so previously returned views stay valid
-// snapshots. Stored records are never rewritten: clock rectification is a
-// read-time mapping (RectifyView).
-//
-// For live ingestion the series keeps a monotone append sequence number
-// (Seq) — the high-water mark incremental consumers diff against.
+// Concurrency: any number of readers (All, Range, Kind, RangeKind, Last,
+// Len) may run concurrently, and Append may interleave with them — once a
+// view has escaped, merges build a new backing array, so previously
+// returned views stay valid snapshots. Stored records are never rewritten:
+// clock rectification is a read-time mapping (RectifyView).
 type Series struct {
 	mu sync.RWMutex
 
-	// seq counts appends; it never decreases and is 0 for an empty series.
-	seq uint64
 	// onAppend, when set (by Dataset.Series), publishes each append to the
 	// dataset's subscribers. Called outside the series lock.
-	onAppend func(record.Record, uint64)
+	onAppend func(record.Record)
 
-	// runs partition the append sequence in order: every record in runs[i]
-	// was appended before every record in runs[i+1], and each run is
-	// internally sorted by Local (stable). tail holds appends not yet
-	// sealed into a run, in arrival order.
-	runs       [][]record.Record
-	tail       []record.Record
-	tailSorted bool
+	// recs is sorted by Local and stable in append order. pending holds,
+	// in arrival order, appends that were earlier than recs' last record
+	// when they arrived. Each pending record is strictly earlier than every
+	// record appended to recs after it, so stable-sorting pending and
+	// merging it behind recs' equal timestamps yields exactly the stable
+	// sort of the append sequence.
+	recs    []record.Record
+	pending []record.Record
 
 	// kinds caches per-kind, time-ordered sub-views of the merged series,
 	// built lazily per requested kind and dropped on any write.
 	kinds map[record.Kind][]record.Record
 
-	// exposed reports whether a view aliasing runs[0]'s backing array has
-	// been returned to a caller. While false (ingest before the first
-	// read), merges may reuse that array's spare capacity in place; once
-	// true, merges must build fresh arrays so outstanding views stay valid
-	// snapshots. Atomic because the read fast path flags it under RLock.
+	// exposed reports whether a view aliasing recs' backing array has been
+	// returned to a caller. While false, a merge may reuse the array's
+	// spare capacity in place; once true, it must copy recs first so
+	// outstanding views stay valid snapshots. Atomic because the read fast
+	// path flags it under RLock.
 	exposed atomic.Bool
 
 	// bytes is O(1) size accounting via record.EncodedSize; unsized counts
@@ -77,109 +64,48 @@ type Series struct {
 // owning dataset's subscribers.
 func (s *Series) Append(r record.Record) {
 	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.appendLocked(r)
-	notify := s.onAppend
-	s.mu.Unlock()
-	if notify != nil {
-		notify(r, seq)
-	}
-}
-
-func (s *Series) appendLocked(r record.Record) {
 	if sz, err := record.EncodedSize(r); err != nil {
 		s.unsized++
 	} else {
 		s.bytes += int64(sz)
 	}
 	s.kinds = nil
-	if len(s.tail) == 0 {
-		if n := len(s.runs); n > 0 {
-			if last := s.runs[n-1]; r.Local >= last[len(last)-1].Local {
-				s.runs[n-1] = append(last, r)
-				return
-			}
-		} else {
-			s.runs = append(s.runs, []record.Record{r})
-			return
-		}
-		s.tailSorted = true
-	} else if r.Local < s.tail[len(s.tail)-1].Local {
-		s.tailSorted = false
+	if n := len(s.recs); n == 0 || r.Local >= s.recs[n-1].Local {
+		s.recs = append(s.recs, r)
+	} else {
+		s.pending = append(s.pending, r)
 	}
-	s.tail = append(s.tail, r)
-	if len(s.tail) >= maxTail {
-		s.sealTailLocked()
+	notify := s.onAppend
+	s.mu.Unlock()
+	if notify != nil {
+		notify(r)
 	}
 }
 
-// Seq returns the series' append sequence number: the count of records ever
-// appended, a monotone high-water mark incremental consumers can diff
-// against to know whether (and how much) new data has arrived.
-func (s *Series) Seq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq
-}
-
-// sealTailLocked sorts the tail (if needed) and turns it into the newest
-// run, compacting the run set if it grew past maxRuns.
-func (s *Series) sealTailLocked() {
-	if len(s.tail) == 0 {
-		return
+// mergeLocked folds pending into recs and returns recs. Ties keep append
+// order: recs' records stay ahead of equal timestamps from pending. The
+// merge runs in recs' spare capacity when no view of it has escaped;
+// otherwise it copies recs into a fresh array first.
+func (s *Series) mergeLocked() []record.Record {
+	if len(s.pending) == 0 {
+		return s.recs
 	}
-	run := s.tail
-	if !s.tailSorted {
-		slices.SortStableFunc(run, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
-	}
-	s.runs = append(s.runs, run)
-	s.tail = nil
-	s.tailSorted = true
-	for len(s.runs) > maxRuns {
-		best := 0
-		for i := 1; i < len(s.runs)-1; i++ {
-			if len(s.runs[i])+len(s.runs[i+1]) < len(s.runs[best])+len(s.runs[best+1]) {
-				best = i
-			}
-		}
-		s.runs[best] = mergeTwo(s.runs[best], s.runs[best+1])
-		s.runs = append(s.runs[:best+1], s.runs[best+2:]...)
-	}
-}
-
-// materializeLocked collapses tail and runs into a single sorted run — the
-// canonical time-ordered view reads return. Ties keep append order: older
-// runs win, so the result equals a stable sort of the append sequence. The
-// common two-run case (one big sorted run, one run of stragglers) merges
-// into the big run's spare capacity when no view of it has escaped yet,
-// avoiding a full-series allocation on the first post-ingest read.
-func (s *Series) materializeLocked() []record.Record {
-	s.sealTailLocked()
-	switch len(s.runs) {
-	case 0:
-		return nil
-	case 1:
-	case 2:
-		a, b := s.runs[0], s.runs[1]
-		if !s.exposed.Load() && cap(a) >= len(a)+len(b) {
-			s.runs = [][]record.Record{mergeInto(a, b)}
-		} else {
-			s.runs = [][]record.Record{mergeTwo(a, b)}
-			s.exposed.Store(false)
-		}
-	default:
-		s.runs = [][]record.Record{mergeRuns(s.runs)}
+	slices.SortStableFunc(s.pending, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
+	if n := len(s.recs) + len(s.pending); s.exposed.Load() || cap(s.recs) < n {
+		s.recs = append(make([]record.Record, 0, n), s.recs...)
 		s.exposed.Store(false)
 	}
-	return s.runs[0]
+	s.recs = mergeInto(s.recs, s.pending)
+	s.pending = nil
+	return s.recs
 }
 
 // mergeInto merges sorted run b into a's backing array in place (a must
 // have the capacity; callers guarantee no view of a has escaped). It works
-// back to front with the same galloping chunk copies as mergeTwo, and the
-// same tie rule: a is the older run, so its records stay ahead of equal
-// timestamps from b.
+// back to front: instead of comparing record by record, it binary-searches
+// for the next crossover and moves the whole contiguous chunk, so a long
+// sorted run plus a few stragglers merges at memmove speed. Ties keep a's
+// records ahead of equal timestamps from b.
 func mergeInto(a, b []record.Record) []record.Record {
 	out := a[: len(a)+len(b) : len(a)+len(b)]
 	i, j, w := len(a)-1, len(b)-1, len(out)-1
@@ -203,64 +129,13 @@ func mergeInto(a, b []record.Record) []record.Record {
 	return out
 }
 
-// mergeTwo merges two sorted runs; a is the older run and wins ties. It
-// gallops: instead of comparing element by element, it binary-searches for
-// the next crossover and bulk-copies the whole contiguous chunk, so the
-// common shape — a huge sorted run plus a small run of stragglers — merges
-// at memmove speed rather than one 72-byte record at a time.
-func mergeTwo(a, b []record.Record) []record.Record {
-	out := make([]record.Record, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Local < a[i].Local {
-			// Everything in b strictly below a's head goes first.
-			k := j + sort.Search(len(b)-j, func(n int) bool { return b[j+n].Local >= a[i].Local })
-			out = append(out, b[j:k]...)
-			j = k
-		} else {
-			// Everything in a at or below b's head goes first (ties keep
-			// the older run's records ahead — append order).
-			k := i + sort.Search(len(a)-i, func(n int) bool { return a[i+n].Local > b[j].Local })
-			out = append(out, a[i:k]...)
-			i = k
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// mergeRuns folds the runs pairwise (adjacent pairs, so append-time order
-// — and with it tie stability — is preserved) until one remains. k is
-// bounded by maxRuns, so the fold depth is at most log2(maxRuns)+1.
-func mergeRuns(runs [][]record.Record) []record.Record {
-	for len(runs) > 1 {
-		merged := make([][]record.Record, 0, (len(runs)+1)/2)
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 < len(runs) {
-				merged = append(merged, mergeTwo(runs[i], runs[i+1]))
-			} else {
-				merged = append(merged, runs[i])
-			}
-		}
-		runs = merged
-	}
-	return runs[0]
-}
-
-// singleLocked reports whether the series is already a single sorted run
-// with no pending tail — the state in which reads are lock-upgrade-free.
-func (s *Series) singleLocked() bool {
-	return len(s.tail) == 0 && len(s.runs) <= 1
-}
-
-// sorted returns the time-ordered record slice, merging pending runs first
-// if any out-of-order append left more than one.
+// sorted returns the time-ordered record slice, merging pending appends
+// first if there are any.
 func (s *Series) sorted() []record.Record {
 	s.mu.RLock()
-	if s.singleLocked() {
-		var recs []record.Record
-		if len(s.runs) == 1 {
-			recs = s.runs[0]
+	if len(s.pending) == 0 {
+		recs := s.recs
+		if recs != nil {
 			s.exposed.Store(true)
 		}
 		s.mu.RUnlock()
@@ -269,10 +144,8 @@ func (s *Series) sorted() []record.Record {
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.materializeLocked()
-	if recs != nil {
-		s.exposed.Store(true)
-	}
+	recs := s.mergeLocked()
+	s.exposed.Store(true)
 	return recs
 }
 
@@ -280,11 +153,7 @@ func (s *Series) sorted() []record.Record {
 func (s *Series) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.tail)
-	for _, run := range s.runs {
-		n += len(run)
-	}
-	return n
+	return len(s.recs) + len(s.pending)
 }
 
 // EncodedBytes returns the total encoded size of the series, accounted in
@@ -328,7 +197,7 @@ func (s *Series) Range(from, to time.Duration) []record.Record {
 // of the per-kind index (built on first use, cached until the next write).
 func (s *Series) Kind(k record.Kind) []record.Record {
 	s.mu.RLock()
-	if s.singleLocked() {
+	if len(s.pending) == 0 {
 		if kv, ok := s.kinds[k]; ok {
 			s.mu.RUnlock()
 			return kv
@@ -347,7 +216,7 @@ func (s *Series) kindLocked(k record.Kind) []record.Record {
 		return kv
 	}
 	var out []record.Record
-	for _, r := range s.materializeLocked() {
+	for _, r := range s.mergeLocked() {
 		if r.Kind == k {
 			out = append(out, r)
 		}
@@ -385,11 +254,13 @@ func (s *Series) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	return record.NewCursor(s.RangeKind(from, to, k))
 }
 
-// Last returns the latest record, if any.
+// Last returns the latest record, if any. It never needs a merge: recs'
+// last record is later than every pending one.
 func (s *Series) Last() (record.Record, bool) {
-	all := s.sorted()
-	if len(all) == 0 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.recs) == 0 {
 		return record.Record{}, false
 	}
-	return all[len(all)-1], true
+	return s.recs[len(s.recs)-1], true
 }

@@ -13,7 +13,7 @@ import (
 	"icares/internal/stats"
 )
 
-// refSorted is the reference semantics the sorted-run layout must match: a
+// refSorted is the reference semantics the series layout must match: a
 // stable sort of the append sequence by timestamp.
 func refSorted(recs []record.Record) []record.Record {
 	out := append([]record.Record(nil), recs...)
@@ -21,13 +21,13 @@ func refSorted(recs []record.Record) []record.Record {
 	return out
 }
 
-// Property: for any append sequence — including ones long enough to cross
-// tail seals and run compactions — All() equals a stable sort of the
+// Property: for any append sequence — including long ones, with reads
+// interleaved so pending appends merge many times — All() equals a stable sort of the
 // appends, and the per-kind views equal a kind filter over it.
 func TestQuickRunsMatchStableSort(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		n := rng.Intn(3 * maxTail)
+		n := rng.Intn(3 * 4096)
 		var s Series
 		appended := make([]record.Record, 0, n)
 		for i := 0; i < n; i++ {
@@ -132,16 +132,17 @@ func TestQuickDegenerateWindowsEmpty(t *testing.T) {
 
 func TestSeriesStableAcrossSealBoundaries(t *testing.T) {
 	// Equal timestamps must keep append order even when the colliding
-	// records land in different runs (one sealed, one in a later tail).
+	// records arrive in different merges (one merged into recs, one still
+	// pending).
 	var s Series
-	for i := 0; i < maxTail+10; i++ {
+	for i := 0; i < 4096+10; i++ {
 		s.Append(record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindAccel})
 	}
-	// Out-of-order burst that seals into its own run, colliding with
-	// timestamps already in the first run.
+	// Out-of-order burst that goes to pending, colliding with timestamps
+	// already in recs.
 	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 100})
 	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 101})
-	_ = s.All() // seal + merge
+	_ = s.All() // merge
 	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 102})
 	got := s.Range(5*time.Second, 5*time.Second+1)
 	if len(got) != 4 {
@@ -149,6 +150,47 @@ func TestSeriesStableAcrossSealBoundaries(t *testing.T) {
 	}
 	if got[0].Kind != record.KindAccel || got[1].PeerID != 100 || got[2].PeerID != 101 || got[3].PeerID != 102 {
 		t.Errorf("append order lost at equal timestamps: %+v", got)
+	}
+}
+
+// Views handed out before out-of-order appends stay snapshots: the merge
+// that folds those appends in must not rewrite the array the views alias,
+// even when that array has the spare capacity to merge in place.
+func TestSeriesViewsSurviveMerge(t *testing.T) {
+	var s Series
+	for i := 0; i < 100; i++ {
+		s.Append(record.Record{Local: time.Duration(2*i) * time.Second, Kind: record.KindAccel, PeerID: uint16(i)})
+	}
+	all := s.All()
+	window := s.Range(40*time.Second, 120*time.Second)
+	allCopy := append([]record.Record(nil), all...)
+	windowCopy := append([]record.Record(nil), window...)
+
+	// Odd-second stragglers land between the captured records. Append no
+	// more than the spare capacity, so an unguarded merge would run in the
+	// views' own backing array.
+	n := min(cap(s.recs)-len(s.recs), 20)
+	if n == 0 {
+		t.Fatal("setup: recs has no spare capacity")
+	}
+	for i := 0; i < n; i++ {
+		s.Append(record.Record{Local: time.Duration(40+4*i+1) * time.Second, Kind: record.KindBeacon, PeerID: uint16(1000 + i)})
+	}
+	if got := s.All(); len(got) != 100+n {
+		t.Fatalf("after merge: %d records, want %d", len(got), 100+n)
+	}
+	if got := s.Range(40*time.Second, 120*time.Second); len(got) != len(windowCopy)+n {
+		t.Fatalf("after merge: window holds %d records, want %d", len(got), len(windowCopy)+n)
+	}
+	for i := range allCopy {
+		if all[i] != allCopy[i] {
+			t.Fatalf("All() view changed at %d: %+v, was %+v", i, all[i], allCopy[i])
+		}
+	}
+	for i := range windowCopy {
+		if window[i] != windowCopy[i] {
+			t.Fatalf("Range view changed at %d: %+v, was %+v", i, window[i], windowCopy[i])
+		}
 	}
 }
 
@@ -232,7 +274,7 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 	d := NewDataset()
 	s := d.Series(7)
 	rng := stats.NewRNG(21)
-	for i := 0; i < 2*maxTail; i++ {
+	for i := 0; i < 2*4096; i++ {
 		s.Append(record.Record{
 			Local:  time.Duration(rng.Intn(10000)) * time.Millisecond,
 			Kind:   record.KindNeighbor,

@@ -4,20 +4,19 @@
 // collected SD-card contents of the paper (150 GiB across 13 days) after
 // ingestion.
 //
-// The layout is built for that volume: each Series holds sorted runs that
-// are merged incrementally (never a full re-sort), Kind/RangeKind queries
-// answer from lazily built per-kind indexes, byte accounting is O(1) per
-// append via record.EncodedSize, and Save/Load fan out across badge files
-// with a bounded worker pool, salvaging partially written logs (see
+// The layout fits how badges write: each Series is one sorted slice that
+// in-order appends extend, plus a short list of out-of-order appends merged
+// in on the next read. Kind/RangeKind queries answer from lazily built
+// per-kind indexes, byte accounting is O(1) per append via
+// record.EncodedSize, and Save/Load fan out across badge files with a
+// bounded worker pool, salvaging partially written logs (see
 // LoadWithReport) instead of failing the whole dataset.
 //
-// The store also serves the live path: every series carries a monotone
-// append sequence number (Series.Seq), datasets expose those as high-water
-// marks (Watermark) and publish append notifications (Subscribe) — the
-// hooks incremental consumers use to fold in only what is new. Records stay
-// on the badges' local clocks: the store never rewrites them, and the
-// analysis pipeline maps them to reference time as it reads, through
-// RectifyView.
+// The store also serves the live path: datasets publish append
+// notifications (Subscribe), the hook incremental consumers use to fold in
+// only what is new. Records stay on the badges' local clocks: the store
+// never rewrites them, and the analysis pipeline maps them to reference
+// time as it reads, through RectifyView.
 package store
 
 import (
@@ -42,7 +41,7 @@ type Dataset struct {
 	// Append subscriptions (Subscribe). subCount mirrors len(subs) so the
 	// per-append publish path costs one atomic load when nobody listens.
 	subMu    sync.RWMutex
-	subs     map[int]func(BadgeID, record.Record, uint64)
+	subs     map[int]func(BadgeID, record.Record)
 	nextSub  int
 	subCount atomic.Int32
 }
@@ -66,7 +65,7 @@ func (d *Dataset) Series(id BadgeID) *Series {
 		return s
 	}
 	s = &Series{}
-	s.onAppend = func(r record.Record, seq uint64) { d.publish(id, r, seq) }
+	s.onAppend = func(r record.Record) { d.publish(id, r) }
 	d.series[id] = s
 	return s
 }
@@ -85,15 +84,14 @@ func (d *Dataset) View(id BadgeID) (View, bool) {
 }
 
 // Subscribe registers fn to be called for every record appended to any of
-// the dataset's series, with the badge it landed on and the series' append
-// sequence number after the append. The callback runs synchronously on the
-// appending goroutine and must be fast and must not append to or query the
-// dataset (mark state and return; do the work elsewhere). The returned
-// cancel function removes the subscription.
-func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record, seq uint64)) (cancel func()) {
+// the dataset's series, with the badge it landed on. The callback runs
+// synchronously on the appending goroutine and must be fast and must not
+// append to or query the dataset (mark state and return; do the work
+// elsewhere). The returned cancel function removes the subscription.
+func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record)) (cancel func()) {
 	d.subMu.Lock()
 	if d.subs == nil {
-		d.subs = make(map[int]func(BadgeID, record.Record, uint64))
+		d.subs = make(map[int]func(BadgeID, record.Record))
 	}
 	token := d.nextSub
 	d.nextSub++
@@ -109,29 +107,15 @@ func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record, seq uint64)) (c
 }
 
 // publish fans one append out to the subscribers.
-func (d *Dataset) publish(id BadgeID, r record.Record, seq uint64) {
+func (d *Dataset) publish(id BadgeID, r record.Record) {
 	if d.subCount.Load() == 0 {
 		return
 	}
 	d.subMu.RLock()
 	for _, fn := range d.subs {
-		fn(id, r, seq)
+		fn(id, r)
 	}
 	d.subMu.RUnlock()
-}
-
-// Watermark snapshots every series' append sequence number — the dataset's
-// high-water marks. An incremental consumer records a watermark, works, and
-// later diffs a fresh watermark against it to learn which badges received
-// data in between (and how many records).
-func (d *Dataset) Watermark() map[BadgeID]uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[BadgeID]uint64, len(d.series))
-	for id, s := range d.series {
-		out[id] = s.Seq()
-	}
-	return out
 }
 
 // Badges returns the badge IDs present, sorted.

@@ -1,7 +1,6 @@
 // Package telemetry is the observability substrate of the online data
 // path: a zero-dependency, goroutine-safe metrics registry (counters,
-// gauges, histograms with fixed bucket layouts) plus lightweight span
-// tracing driven by the simulated mission clock.
+// gauges, histograms with fixed bucket layouts).
 //
 // The paper's Section VI support system must run unattended for months;
 // the crew (and a mission control twenty light-minutes away) need to see
